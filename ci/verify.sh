@@ -67,6 +67,13 @@ done
 grep -q '"telemetry"' bench-artifacts/BENCH_scenario_corridor.json \
   || { echo "FAIL: --metrics produced no telemetry block"; exit 1; }
 
+# The dynamics hook is timed: a mobile preset's telemetry block carries the
+# mobility.advance timer (and its mobility.sample child).
+./bench/scenario_runner --scenario=mobile_agg_max --seeds=1 --metrics \
+  --out-dir=bench-artifacts
+grep -q '"mobility.advance"' bench-artifacts/BENCH_scenario_mobile_agg_max.json \
+  || { echo "FAIL: --metrics on a mobile preset did not time mobility.advance"; exit 1; }
+
 # Telemetry-overhead smoke: the same batch with metrics+trace armed must
 # stay within 1.5x + 0.2s of the plain run (the real budget is <5%,
 # measured on bench_medium locally; this loose gate only catches a
@@ -97,12 +104,13 @@ awk -v off="${base_wall}" -v on="${telem_wall}" 'BEGIN {
   --candidate=bench-artifacts/BENCH_sweep_smoke.json --metric-tol=0.2 --wall-tol=9
 
 # The E10 mobility campaign's smoke slice (one seed per cell) behind the
-# same gate: drift metrics and re-delivery are deterministic per seed, so
-# any mean moving against sweeps/e10_baseline.json is a real change.
+# same gate at zero metric tolerance: drift metrics and re-delivery are
+# deterministic per seed, so any mean moving against
+# sweeps/e10_baseline.json is a real change.
 ./bench/sweep_runner --sweep=../sweeps/e10_mobility.sweep --seeds=1 \
   --out-dir=bench-artifacts --threads=2
 ./bench/sweep_check --baseline=../sweeps/e10_baseline.json \
-  --candidate=bench-artifacts/BENCH_sweep_e10_mobility.json --metric-tol=0.2 --wall-tol=9
+  --candidate=bench-artifacts/BENCH_sweep_e10_mobility.json --metric-tol=0 --wall-tol=9
 
 # --- Work-queue campaign smoke -----------------------------------------------
 # The same smoke campaign through the multi-process coordinator

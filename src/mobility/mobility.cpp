@@ -10,15 +10,19 @@ namespace mcs {
 
 namespace {
 
-struct ChurnTelemetry {
+struct DynamicsTelemetry {
   telemetry::CounterId departures = telemetry::counterId("churn.departures");
   telemetry::CounterId arrivals = telemetry::counterId("churn.arrivals");
   telemetry::TraceNameId depart = telemetry::traceName("churn.depart");
   telemetry::TraceNameId arrive = telemetry::traceName("churn.arrive");
+  telemetry::TimerId advance = telemetry::timerId("mobility.advance");
+  telemetry::TimerId sample = telemetry::timerId("mobility.sample");
+  telemetry::CounterId graphSamples = telemetry::counterId("mobility.graph_samples");
+  telemetry::CounterId rebuilds = telemetry::counterId("mobility.sampler_rebuilds");
 };
 
-const ChurnTelemetry& churnTm() {
-  static const ChurnTelemetry ids;
+const DynamicsTelemetry& dynTm() {
+  static const DynamicsTelemetry ids;
   return ids;
 }
 
@@ -31,16 +35,31 @@ constexpr std::uint64_t kMemberSalt = 0x6d63735f6d656d62ULL;    // "mcs_memb"
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
-/// Reflects x into [lo, hi] (degenerate intervals clamp to lo).
-double reflect(double x, double lo, double hi) noexcept {
-  if (hi <= lo) return lo;
-  const double span = hi - lo;
-  double t = std::fmod(x - lo, 2.0 * span);
-  if (t < 0.0) t += 2.0 * span;
-  return lo + (t <= span ? t : 2.0 * span - t);
+/// The edge flag of a packed (v << 32 | u) candidate (v < 2^31, so bit
+/// 63 is free).
+constexpr std::uint64_t kEdgeBit = 1ULL << 63;
+
+/// The drift metrics' edge predicate: both ends alive and within R_eps
+/// (r2 = R_eps^2).  Non-short-circuit `&`: near R_eps the outcome is a
+/// coin flip, so a branch would mispredict.
+bool isEdge(const std::vector<char>& alive, std::span<const Vec2> pos, std::size_t v,
+            std::size_t u, double r2) noexcept {
+  return (alive[v] != 0) & (alive[u] != 0) & (dist2(pos[u], pos[v]) <= r2);
 }
 
 }  // namespace
+
+double detail::reflect(double x, double lo, double hi) noexcept {
+  if (hi <= lo) return lo;
+  const double span = hi - lo;
+  const double period = 2.0 * span;
+  double t = x - lo;
+  if (!(t >= 0.0 && t < period)) {
+    t = std::fmod(t, period);
+    if (t < 0.0) t += period;
+  }
+  return lo + (t <= span ? t : period - t);
+}
 
 std::vector<MobilityModelInfo> mobilityModelList() {
   return {
@@ -106,6 +125,8 @@ TopologyDynamics::TopologyDynamics(const TopologyParams& params, std::span<const
 }
 
 void TopologyDynamics::advance(std::uint64_t slot, std::vector<Vec2>& positions) {
+  const telemetry::PhaseTimer timer(dynTm().advance);
+  finalized_ = false;
   if (params_.churn.enabled()) advanceChurn(slot);
   if (params_.mobility.moving()) advanceMotion(slot, positions);
   const auto every = static_cast<std::uint64_t>(std::max(1, params_.sampleEvery));
@@ -121,15 +142,15 @@ void TopologyDynamics::advanceChurn(std::uint64_t slot) {
         alive_[v] = 0;
         --aliveCount_;
         ++stats_.departures;
-        telemetry::counterAdd(churnTm().departures);
-        telemetry::traceInstant(churnTm().depart, static_cast<std::int64_t>(v));
+        telemetry::counterAdd(dynTm().departures);
+        telemetry::traceInstant(dynTm().depart, static_cast<std::int64_t>(v));
       }
     } else if (arr > 0.0 && unitDraw(churnKey_, slot, v ^ kArrivalSalt) < arr) {
       alive_[v] = 1;
       ++aliveCount_;
       ++stats_.arrivals;
-      telemetry::counterAdd(churnTm().arrivals);
-      telemetry::traceInstant(churnTm().arrive, static_cast<std::int64_t>(v));
+      telemetry::counterAdd(dynTm().arrivals);
+      telemetry::traceInstant(dynTm().arrive, static_cast<std::int64_t>(v));
     }
   }
 }
@@ -147,8 +168,8 @@ void TopologyDynamics::advanceMotion(std::uint64_t slot, std::vector<Vec2>& posi
         if (alive_[v] == 0) continue;  // departed nodes do not move
         const double theta = kTwoPi * unitDraw(mobilityKey_, slot, v);
         Vec2& p = positions[v];
-        p.x = reflect(p.x + speed * std::cos(theta), loX_, hiX_);
-        p.y = reflect(p.y + speed * std::sin(theta), loY_, hiY_);
+        p.x = detail::reflect(p.x + speed * std::cos(theta), loX_, hiX_);
+        p.y = detail::reflect(p.y + speed * std::sin(theta), loY_, hiY_);
       }
       return;
 
@@ -179,8 +200,8 @@ void TopologyDynamics::advanceMotion(std::uint64_t slot, std::vector<Vec2>& posi
       for (std::size_t g = 0; g < groupRef_.size(); ++g) {
         const double theta = kTwoPi * unitDraw(mobilityKey_, slot, g ^ kGroupSalt);
         Vec2& r = groupRef_[g];
-        r.x = reflect(r.x + speed * std::cos(theta), loX_, hiX_);
-        r.y = reflect(r.y + speed * std::sin(theta), loY_, hiY_);
+        r.x = detail::reflect(r.x + speed * std::cos(theta), loX_, hiX_);
+        r.y = detail::reflect(r.y + speed * std::sin(theta), loY_, hiY_);
       }
       const std::size_t groups = groupRef_.size();
       const double memberStep = speed * 0.5;
@@ -198,7 +219,7 @@ void TopologyDynamics::advanceMotion(std::uint64_t slot, std::vector<Vec2>& posi
           // initial offset exceeds the tether (e.g. a uniform deployment
           // with near-coincident group references), breaking the
           // bounded-per-slot-displacement premise the incremental
-          // GridIndex path and the drift metrics rest on.
+          // GridIndex path and the drift sampler's candidate list rest on.
           const double pull = std::min(memberStep, len - m.groupRadius);
           offset = offset * ((len - pull) / len);
         }
@@ -211,72 +232,87 @@ void TopologyDynamics::advanceMotion(std::uint64_t slot, std::vector<Vec2>& posi
 
 void TopologyDynamics::sampleGraph(std::span<const Vec2> positions, bool final) {
   if (graphRadius_ <= 0.0 || positions.empty()) return;
-
-  // Persistent index over ALL nodes (dead ones keep their last position
-  // and are filtered by the alive mask below).  Bounded per-slot motion
-  // keeps the incremental path hot; leaving the original bounding box
-  // falls back to a full rebuild inside update().
-  grid_.ensure(positions, graphRadius_);
-
-  scratchEdges_.clear();
-  const auto n = static_cast<NodeId>(positions.size());
-  for (NodeId v = 0; v < n; ++v) {
-    if (alive_[static_cast<std::size_t>(v)] == 0) continue;
-    grid_.forEachInBall(positions[static_cast<std::size_t>(v)], graphRadius_, [&](NodeId u) {
-      if (u > v && alive_[static_cast<std::size_t>(u)] != 0) {
-        scratchEdges_.push_back((static_cast<std::uint64_t>(v) << 32) |
-                                static_cast<std::uint32_t>(u));
-      }
-    });
-  }
-  std::sort(scratchEdges_.begin(), scratchEdges_.end());
-
+  const telemetry::PhaseTimer timer(dynTm().sample);
+  telemetry::counterAdd(dynTm().graphSamples);
   ++stats_.graphSamples;
+
+  // Re-test the candidates at the current positions, counting flips.
+  const double r2 = graphRadius_ * graphRadius_;
+  std::uint64_t added = 0, removed = 0;
+  std::size_t edges = 0;
+  for (std::uint64_t& c : candidates_) {
+    const std::uint64_t edge =
+        isEdge(alive_, positions, (c & ~kEdgeBit) >> 32, static_cast<std::uint32_t>(c), r2);
+    const std::uint64_t was = c >> 63;
+    added += edge & ~was;
+    removed += was & ~edge;
+    c = (c & ~kEdgeBit) | (edge << 63);
+    edges += edge;
+  }
+
+  // Exact only while every node stays within the slack of its anchor.
+  const double slack = detail::kSamplerSlack * graphRadius_;
+  bool drifted = anchor_.empty();
+  for (std::size_t v = 0; v < anchor_.size() && !drifted; ++v) {
+    drifted = dist2(positions[v], anchor_[v]) > slack * slack;
+  }
+  if (drifted) {
+    // Every edge the old list missed is new: the re-test above already
+    // holds the exact state of every old candidate, and old edges were
+    // all candidates.
+    const std::size_t rebuilt = rebuildCandidates(positions);
+    added += rebuilt - edges;
+    edges = rebuilt;
+  }
+
   if (stats_.graphSamples == 1) {
-    initialEdges_ = scratchEdges_;
-    stats_.initialEdges = initialEdges_.size();
-  } else {
-    // Sorted symmetric difference against the previous sample.
-    std::size_t i = 0, j = 0;
-    std::uint64_t added = 0, removed = 0;
-    while (i < prevEdges_.size() && j < scratchEdges_.size()) {
-      if (prevEdges_[i] == scratchEdges_[j]) {
-        ++i;
-        ++j;
-      } else if (prevEdges_[i] < scratchEdges_[j]) {
-        ++removed;
-        ++i;
-      } else {
-        ++added;
-        ++j;
-      }
+    for (const std::uint64_t c : candidates_) {
+      if ((c & kEdgeBit) != 0) initialEdges_.push_back(c & ~kEdgeBit);
     }
-    removed += prevEdges_.size() - i;
-    added += scratchEdges_.size() - j;
+    stats_.initialEdges = edges;
+  } else {
     stats_.edgesAdded += added;
     stats_.edgesRemoved += removed;
   }
-  prevEdges_ = scratchEdges_;
 
   if (final) {
-    stats_.finalEdges = scratchEdges_.size();
-    std::size_t surviving = 0, i = 0, j = 0;
-    while (i < initialEdges_.size() && j < scratchEdges_.size()) {
-      if (initialEdges_[i] == scratchEdges_[j]) {
-        ++surviving;
-        ++i;
-        ++j;
-      } else if (initialEdges_[i] < scratchEdges_[j]) {
-        ++i;
-      } else {
-        ++j;
-      }
+    stats_.finalEdges = edges;
+    // Survival re-tests the initial edges directly: no list order needed.
+    std::size_t surviving = 0;
+    for (const std::uint64_t e : initialEdges_) {
+      surviving += isEdge(alive_, positions, e >> 32, static_cast<std::uint32_t>(e), r2);
     }
     stats_.survivingInitialEdges = surviving;
   }
 }
 
+std::size_t TopologyDynamics::rebuildCandidates(std::span<const Vec2> positions) {
+  telemetry::counterAdd(dynTm().rebuilds);
+  const double r2 = graphRadius_ * graphRadius_;
+  const double reach = (1.0 + detail::kSamplerSkin) * graphRadius_;
+  anchor_.assign(positions.begin(), positions.end());
+  // Persistent index over ALL nodes: a dead node keeps its position, and
+  // may revive before the next rebuild, so its pairs stay candidates.
+  grid_.ensure(positions, reach);
+  candidates_.clear();
+  std::size_t edges = 0;
+  const auto n = static_cast<NodeId>(positions.size());
+  for (NodeId v = 0; v < n; ++v) {
+    grid_.forEachInBall(positions[static_cast<std::size_t>(v)], reach, [&](NodeId u) {
+      if (u <= v) return;
+      const std::uint64_t edge =
+          isEdge(alive_, positions, static_cast<std::size_t>(v), static_cast<std::size_t>(u), r2);
+      candidates_.push_back((static_cast<std::uint64_t>(v) << 32) | static_cast<std::uint32_t>(u) |
+                            (edge << 63));
+      edges += edge;
+    });
+  }
+  return edges;
+}
+
 void TopologyDynamics::finalize(std::span<const Vec2> current) {
+  if (finalized_) return;
+  finalized_ = true;
   sampleGraph(current, /*final=*/true);
   double total = 0.0;
   for (std::size_t v = 0; v < initial_.size() && v < current.size(); ++v) {

@@ -91,8 +91,11 @@ struct TopologyParams {
   MobilityParams mobility;
   ChurnParams churn;
   /// Drift-metric sampling period: every `sampleEvery` slots the dynamics
-  /// re-derive the communication graph (incremental GridIndex update) and
-  /// accumulate edge churn.  Purely observational — never affects the run.
+  /// re-derive the communication graph at R_eps and accumulate edge churn.
+  /// The sampler re-tests a skin-radius candidate list (pairs within
+  /// 1.2 R_eps at the last rebuild) and rebuilds it only once some node
+  /// drifted too far for it to stay exact; see TopologyDynamics.  Purely
+  /// observational — never affects the run.
   int sampleEvery = 32;
 
   /// True when a Simulator needs a TopologyDynamics at all.
@@ -144,6 +147,22 @@ struct MobilityModelInfo {
 /// order (scenario_runner --list prints them).
 [[nodiscard]] std::vector<MobilityModelInfo> mobilityModelList();
 
+namespace detail {
+/// Skin of the drift sampler's candidate list, as a fraction of R_eps.
+inline constexpr double kSamplerSkin = 0.2;
+/// Largest drift from the rebuild-time anchors, as a fraction of R_eps,
+/// under which the candidate list is still exact: two nodes that each
+/// moved at most this far (2 * 0.45 = 0.9 skin together) cannot close a
+/// gap wider than R_eps + skin to R_eps.
+inline constexpr double kSamplerSlack = 0.45 * kSamplerSkin;
+
+/// Reflects x into [lo, hi] (degenerate intervals clamp to lo): the
+/// mirror boundary of the random-walk models.  Bit-identical to
+/// `lo + fold(fmod(x - lo, 2 span))`; the fmod is skipped where it is the
+/// identity (0 <= x - lo < 2 span), which is every in-box step.
+[[nodiscard]] double reflect(double x, double lo, double hi) noexcept;
+}  // namespace detail
+
 /// The per-simulation dynamics engine.  Owned by the Simulator; advance()
 /// is called once at the top of every slot with the Simulator's mutable
 /// position buffer.
@@ -166,7 +185,8 @@ class TopologyDynamics {
   [[nodiscard]] int aliveCount() const noexcept { return aliveCount_; }
 
   /// Takes the final graph sample, computes survival against the initial
-  /// edge set and the mean displacement.  Idempotent per position state.
+  /// edge set and the mean displacement.  A repeat call with no advance()
+  /// in between leaves the stats unchanged.
   void finalize(std::span<const Vec2> current);
 
   [[nodiscard]] const TopologyStats& stats() const noexcept { return stats_; }
@@ -176,6 +196,8 @@ class TopologyDynamics {
   void advanceChurn(std::uint64_t slot);
   void advanceMotion(std::uint64_t slot, std::vector<Vec2>& positions);
   void sampleGraph(std::span<const Vec2> positions, bool final);
+  /// Re-gathers the candidate list at `positions`; returns the edge count.
+  std::size_t rebuildCandidates(std::span<const Vec2> positions);
 
   /// Uniform in [0, 1), pure in (key, a, b): the fading-layer recipe.
   [[nodiscard]] static double unitDraw(std::uint64_t key, std::uint64_t a,
@@ -204,11 +226,16 @@ class TopologyDynamics {
   // GroupReference state.
   std::vector<Vec2> groupRef_;
 
-  // Drift-metric sampling state (incremental GridIndex over all nodes).
-  GridIndex grid_;
-  std::vector<std::uint64_t> initialEdges_;
-  std::vector<std::uint64_t> prevEdges_;
-  std::vector<std::uint64_t> scratchEdges_;
+  // Drift-metric sampler: a Verlet-style candidate list.  A rebuild
+  // gathers every pair v < u (dead nodes included) within R_eps + skin of
+  // each other and records each node's anchor position.  While no node
+  // has drifted past detail::kSamplerSlack from its anchor, re-testing
+  // the candidates alone yields the exact edge set.
+  GridIndex grid_;                         // rebuild-time index at R_eps + skin
+  std::vector<Vec2> anchor_;               // positions at the last rebuild
+  std::vector<std::uint64_t> candidates_;  // (v << 32 | u), bit 63 = edge now
+  std::vector<std::uint64_t> initialEdges_;  // (v << 32 | u) of the first sample
+  bool finalized_ = false;
 
   TopologyStats stats_;
 };

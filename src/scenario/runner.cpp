@@ -131,8 +131,8 @@ SeedResult runScenarioSeed(const ScenarioSpec& spec, std::uint64_t seed) {
 
     if (sim.dynamic()) {
       // Drift metrics: how much the communication graph decayed under the
-      // run's motion/churn (sampled every mobility_sample_every slots via
-      // the incremental GridIndex; see mobility/mobility.h).
+      // run's motion/churn (sampled every mobility_sample_every slots by
+      // re-testing a skin-radius candidate list; see mobility/mobility.h).
       sim.finalizeDynamics();
       const TopologyStats& ts = sim.dynamics()->stats();
       res.metrics.set("alive_final", sim.aliveCount());

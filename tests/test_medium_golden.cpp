@@ -8,29 +8,18 @@
 // change), that is a documented compatibility break, not a refresh.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "geom/deployment.h"
 #include "sinr/medium.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace mcs {
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t bits(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof u);
-  return u;
-}
+using test::bits;
+using test::fnv1a;
 
 /// Hashes every Reception bit pattern over `slots` Exact-mode slots of a
 /// fixed workload: n=600 uniform nodes, 8% transmitters, 2% idlers.  The

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -7,6 +9,22 @@
 
 /// Shared helpers for the mcsinr test suite.
 namespace mcs::test {
+
+/// One FNV-1a step over the 8 bytes of `v` (the golden-hash recipe).
+inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// The bit pattern of a double, for bit-identity hashes and comparisons.
+inline std::uint64_t bits(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
 
 /// A connected-ish uniform deployment in a `side` x `side` square.
 inline Network makeUniformNetwork(int n, double side, std::uint64_t seed, Tuning tuning = {}) {
