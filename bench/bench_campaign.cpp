@@ -35,6 +35,7 @@
 #include "bench_common.h"
 #include "campaign/coordinator.h"
 #include "sweep/expand.h"
+#include "sweep/report.h"
 #include "sweep/runner.h"
 #include "sweep/spec.h"
 
@@ -121,21 +122,27 @@ int main(int argc, char** argv) {
     std::string config = "w";
     config += std::to_string(workers);
 
-    // Calibration: one sequential in-process pass measures every cell's
-    // cost on an otherwise idle machine (cells never overlap).
+    // Calibration: one inline single-lane pass measures every cell's cost
+    // on an otherwise idle machine (cells never overlap); the per-seed wall
+    // times come back from the cell files.
     const std::string calDir = outDir + "/bench-campaign/" + config + "-cal";
     std::filesystem::remove_all(calDir);
-    CampaignOptions cal;
-    cal.threads = 1;
+    campaign::WorkQueueOptions cal;
+    cal.threadsPerWorker = 1;
     cal.outDir = calDir;
-    CampaignResult calRun;
-    if (!runCampaign(spec, cal, calRun, err)) {
+    campaign::WorkQueueCampaign calRun;
+    if (!campaign::runCampaignWorkQueue(spec, cal, calRun, err)) {
       std::fprintf(stderr, "%s\n", err.c_str());
       return 2;
     }
     std::vector<double> cost;
     cost.reserve(calRun.cells.size());
-    for (const CellResult& cell : calRun.cells) {
+    for (const campaign::CellRecord& rec : calRun.cells) {
+      CellResult cell;
+      if (!loadCellResult(cellFilePath(calDir, spec.name, rec.cell.index), cell, err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return 2;
+      }
       double sum = 0.0;
       for (const SeedResult& r : cell.batch.perSeed) sum += r.wallSec;
       cost.push_back(sum);

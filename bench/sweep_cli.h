@@ -1,19 +1,19 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 
 #include "bench_common.h"
 #include "campaign/coordinator.h"
 #include "campaign/report.h"
-#include "sweep/report.h"
-#include "sweep/runner.h"
 
-/// Shared driver for the sweep-campaign binaries: sweep_runner and the
-/// experiment mains rewritten on the engine (exp_e2_scaling_n,
-/// exp_e8_robustness) all parse flags, run the campaign, print the
-/// per-cell table, and emit BENCH_sweep_<name>.json + long-form CSV
-/// through this one function.
+/// The sweep_runner driver: parses the runner flags, runs the campaign
+/// through the coordinator, prints the per-cell table, and emits
+/// BENCH_sweep_<name>.json + long-form CSV.  The declarative experiment
+/// grids run through it as presets, e.g.
+///   sweep_runner --preset=e2_scaling
+///   sweep_runner --preset=e8_robustness && sweep_runner --preset=e8_uncertainty
 namespace mcs::bench {
 
 /// Runner-owned flags every sweep binary reserves; any other --key=value
@@ -45,17 +45,26 @@ inline bool applySweepFlagOverrides(SweepSpec& spec, const Args& args, std::stri
   return true;
 }
 
-/// Runs `spec` honoring --shard/--threads/--out-dir/--resume/--csv and
-/// --cells (list the expansion without running).  `csvPath` overrides the
-/// CSV destination (multi-campaign binaries derive one per campaign so a
-/// shared --csv value is not overwritten); empty falls back to --csv,
-/// then to `<out-dir>/BENCH_sweep_<name>.csv`.  Returns the process exit
-/// code: 0 success, 1 failures or unwritable reports, 2 usage.
-inline int runSweepCampaignCli(const SweepSpec& spec, const Args& args,
-                               const std::string& csvPath = "") {
-  CampaignOptions opts;
-  opts.threads = static_cast<int>(args.getInt(
-      "threads", static_cast<long>(std::max(2u, std::thread::hardware_concurrency()))));
+/// Runs `spec` honoring --shard/--threads/--out-dir/--resume/--csv/
+/// --workers and --cells (list the expansion without running).  The CSV
+/// goes to --csv, else `<out-dir>/BENCH_sweep_<name>.csv`.  Returns the
+/// process exit code: 0 success, 1 failures or unwritable reports, 2 usage.
+inline int runSweepCampaignCli(const SweepSpec& spec, const Args& args) {
+  campaign::WorkQueueOptions opts;
+  // --workers N forks N worker processes (0 = hardware concurrency), with
+  // one batch lane each unless --threads asks for more; without the flag
+  // cells run inline, each seed batch on --threads lanes.  Per-cell
+  // results and reports are identical either way (wall times aside), so
+  // the same baselines gate both executors.
+  if (args.has("workers")) {
+    opts.workers = static_cast<int>(args.getInt("workers", 0));
+    if (opts.workers <= 0) opts.workers = static_cast<int>(std::thread::hardware_concurrency());
+    if (opts.workers <= 0) opts.workers = 2;
+    opts.threadsPerWorker = static_cast<int>(args.getInt("threads", 1));
+  } else {
+    opts.threadsPerWorker = static_cast<int>(args.getInt(
+        "threads", static_cast<long>(std::max(2u, std::thread::hardware_concurrency()))));
+  }
   // --out-dir is the documented flag; --out stays as a compatibility
   // alias for the scenario_runner convention.
   opts.outDir = args.get("out-dir", args.get("out", "."));
@@ -119,111 +128,56 @@ inline int runSweepCampaignCli(const SweepSpec& spec, const Args& args,
     if (cached) row("%-6d %-32s %46s", cell.index, cell.label.c_str(), "cached");
   };
 
-  // --workers N selects the multi-process work queue (0 = hardware
-  // concurrency); without the flag the in-process runner below is
-  // untouched.  Per-cell results and reports are byte-identical either
-  // way (wall times aside), so the same baselines gate both modes.
-  if (args.has("workers")) {
-    campaign::WorkQueueOptions wq;
-    wq.workers = static_cast<int>(args.getInt("workers", 0));
-    // Process-level parallelism replaces lane parallelism: one lane per
-    // worker unless --threads asks for more.
-    wq.threadsPerWorker = static_cast<int>(args.getInt("threads", 1));
-    wq.shardIndex = opts.shardIndex;
-    wq.shardCount = opts.shardCount;
-    wq.resume = opts.resume;
-    wq.outDir = opts.outDir;
-    wq.heartbeat = opts.heartbeat;
-    wq.faultKillCell = static_cast<int>(args.getInt("fault-kill-cell", -1));
-    wq.onCell = opts.onCell;
-    wq.storePath = opts.storePath;
-    wq.storeStripWall = opts.storeStripWall;
-    // Under --workers the per-process trace rings live in the workers;
-    // the coordinator merges them into --trace-out itself (pid = worker
-    // id), so finishTelemetryCli must not overwrite it with the
-    // coordinator's own (empty) ring.
-    wq.traceOut = args.get("trace-out");
+  opts.faultKillCell = static_cast<int>(args.getInt("fault-kill-cell", -1));
+  // With forked workers the per-process trace rings live in the workers;
+  // the coordinator merges them into --trace-out itself (pid = worker id),
+  // so finishTelemetryCli must not overwrite it with the coordinator's own
+  // (empty) ring.  Inline runs trace into this process's ring, which
+  // finishTelemetryCli writes.
+  if (opts.workers > 0) opts.traceOut = args.get("trace-out");
 
-    campaign::WorkQueueCampaign wqc;
-    if (!campaign::runCampaignWorkQueue(spec, wq, wqc, err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 2;
-    }
-    for (const campaign::CellRecord& rec : wqc.cells) {
-      row("%-6d %-32s %10.0f %9.3f %2d/%-2d %8.2f  %s", rec.cell.index,
-          rec.cell.label.c_str(), rec.slotsMean, rec.decodeRateMean, rec.delivered,
-          rec.cell.spec.seeds, rec.wallMeanSec, rec.fromCache ? "cached" : "ran");
-    }
-    row("%s", "");
-    row("campaign: %zu/%d cells (shard %d/%d), %d cached, %d seed failures, %.2fs",
-        wqc.cells.size(), wqc.totalCells, wqc.shardIndex, wqc.shardCount, wqc.cachedCells(),
-        wqc.failures(), wqc.wallSec);
-    row("work queue: %llu leases, %llu requeues, %llu worker deaths, peak %zu pending "
-        "reduce nodes",
-        static_cast<unsigned long long>(wqc.leases),
-        static_cast<unsigned long long>(wqc.requeues),
-        static_cast<unsigned long long>(wqc.workerDeaths), wqc.peakPendingNodes);
-
-    std::string jsonPath;
-    if (!campaign::writeWorkQueueCampaignReport(wqc, wq.outDir, wq.outDir, jsonPath, err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", jsonPath.c_str());
-    std::string csv = csvPath;
-    if (csv.empty()) csv = args.get("csv");
-    if (csv.empty()) csv = wq.outDir + "/BENCH_sweep_" + wqc.name + ".csv";
-    if (!campaign::writeWorkQueueCampaignCsv(wqc, wq.outDir, csv, err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", csv.c_str());
-    if (!wq.storePath.empty()) std::printf("wrote %s\n", wq.storePath.c_str());
-    if (!wq.traceOut.empty() && telemetry::traceEnabled()) {
-      std::printf("wrote %s (merged worker traces)\n", wq.traceOut.c_str());
-    }
-
-    if (!finishTelemetryCli(args, wqc.wallSec, /*writeTrace=*/wq.traceOut.empty())) return 1;
-    return wqc.failures() > 0 ? 1 : 0;
-  }
-
-  CampaignResult campaign;
-  if (!runCampaign(spec, opts, campaign, err)) {
+  campaign::WorkQueueCampaign run;
+  if (!campaign::runCampaignWorkQueue(spec, opts, run, err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 2;
   }
-  for (const CellResult& cell : campaign.cells) {
-    const Summary slots = cell.batch.summarizeSlots();
-    const Summary rate = cell.batch.summarizeDecodeRate();
-    const Summary wall = cell.batch.summarizeWallSec();
-    row("%-6d %-32s %10.0f %9.3f %2d/%-2d %8.2f  %s", cell.cell.index,
-        cell.cell.label.c_str(), slots.mean, rate.mean, cell.batch.deliveredCount(),
-        cell.cell.spec.seeds, wall.mean, cell.fromCache ? "cached" : "ran");
+  for (const campaign::CellRecord& rec : run.cells) {
+    row("%-6d %-32s %10.0f %9.3f %2d/%-2d %8.2f  %s", rec.cell.index, rec.cell.label.c_str(),
+        rec.slotsMean, rec.decodeRateMean, rec.delivered, rec.cell.spec.seeds, rec.wallMeanSec,
+        rec.fromCache ? "cached" : "ran");
   }
   row("%s", "");
   row("campaign: %zu/%d cells (shard %d/%d), %d cached, %d seed failures, %.2fs",
-      campaign.cells.size(), campaign.totalCells, campaign.shardIndex, campaign.shardCount,
-      campaign.cachedCells(), campaign.failures(), campaign.wallSec);
+      run.cells.size(), run.totalCells, run.shardIndex, run.shardCount, run.cachedCells(),
+      run.failures(), run.wallSec);
+  if (opts.workers > 0) {
+    row("work queue: %d workers, %llu leases, %llu requeues, %llu worker deaths, peak %zu "
+        "pending reduce nodes",
+        opts.workers, static_cast<unsigned long long>(run.leases),
+        static_cast<unsigned long long>(run.requeues),
+        static_cast<unsigned long long>(run.workerDeaths), run.peakPendingNodes);
+  }
 
   std::string jsonPath;
-  if (!writeCampaignReport(campaign, opts.outDir, jsonPath, err)) {
+  if (!campaign::writeWorkQueueCampaignReport(run, opts.outDir, opts.outDir, jsonPath, err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 1;
   }
   std::printf("wrote %s\n", jsonPath.c_str());
-  std::string csv = csvPath;
-  if (csv.empty()) csv = args.get("csv");
-  if (csv.empty()) csv = opts.outDir + "/BENCH_sweep_" + campaign.name + ".csv";
-  if (!writeCampaignCsv(campaign, csv, err)) {
+  std::string csv = args.get("csv");
+  if (csv.empty()) csv = opts.outDir + "/BENCH_sweep_" + run.name + ".csv";
+  if (!campaign::writeWorkQueueCampaignCsv(run, opts.outDir, csv, err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 1;
   }
   std::printf("wrote %s\n", csv.c_str());
   if (!opts.storePath.empty()) std::printf("wrote %s\n", opts.storePath.c_str());
+  if (!opts.traceOut.empty() && telemetry::traceEnabled()) {
+    std::printf("wrote %s (merged worker traces)\n", opts.traceOut.c_str());
+  }
 
-  if (!finishTelemetryCli(args, campaign.wallSec)) return 1;
-
-  return campaign.failures() > 0 ? 1 : 0;
+  if (!finishTelemetryCli(args, run.wallSec, /*writeTrace=*/opts.traceOut.empty())) return 1;
+  return run.failures() > 0 ? 1 : 0;
 }
 
 }  // namespace mcs::bench

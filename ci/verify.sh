@@ -4,6 +4,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Succeeds when the output of the command "$2..." contains pattern $1.
+# The output is captured before grep sees it: piping straight into
+# `grep -q`, which exits at its first match, can SIGPIPE a producer that
+# is still writing, and pipefail then fails a check that matched.
+output_has() {
+  local pattern=$1 out
+  shift
+  out=$("$@") || return 1
+  grep -q -- "${pattern}" <<< "${out}"
+}
+
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
@@ -32,7 +43,7 @@ for required in uniform_square corridor aloha_patch exponential_chain \
                 mobile_agg_max mobile_agg_sum mobile_aloha mobile_structure \
                 mobile_coloring mobile_palette mobile_csa mobile_ruling \
                 mobile_dominators mobile_chain mobile_nearfar; do
-  echo "${presets}" | grep -qx "${required}" \
+  grep -qx "${required}" <<< "${presets}" \
     || { echo "FAIL: registry is missing required preset ${required}"; exit 1; }
 done
 
@@ -113,15 +124,20 @@ awk -v off="${base_wall}" -v on="${telem_wall}" 'BEGIN {
   --candidate=bench-artifacts/BENCH_sweep_e10_mobility.json --metric-tol=0 --wall-tol=9
 
 # --- Work-queue campaign smoke -----------------------------------------------
-# The same smoke campaign through the multi-process coordinator
-# (--workers): the spliced report must pass the identical baseline gate
-# as the in-process run — the byte-identity contract makes one baseline
-# serve both execution modes.  Separate out-dirs keep the in-process
-# artifact intact.
+# The same smoke campaign through forked workers (--workers): the spliced
+# report must pass the identical baseline gate as the inline run — the
+# byte-identity contract makes one baseline serve both executors.
+# Separate out-dirs keep the inline artifact intact.
 ./bench/sweep_runner --sweep=../sweeps/smoke.sweep --workers=4 \
   --out-dir=bench-artifacts/wq-smoke
 ./bench/sweep_check --baseline=../sweeps/baseline.json \
   --candidate=bench-artifacts/wq-smoke/BENCH_sweep_smoke.json --metric-tol=0.2 --wall-tol=9
+
+# Report parity: the inline report against the 4-worker report of the same
+# campaign at zero metric tolerance — both executors run the one cell body
+# and the one RESULT handler, so every summary must agree exactly.
+./bench/sweep_check --baseline=bench-artifacts/BENCH_sweep_smoke.json \
+  --candidate=bench-artifacts/wq-smoke/BENCH_sweep_smoke.json --metric-tol=0 --wall-tol=9
 
 # Fault-injection smoke: SIGKILL the worker holding cell 0's first lease
 # mid-cell.  The requeue/respawn path must still produce a report that
@@ -137,7 +153,7 @@ awk -v off="${base_wall}" -v on="${telem_wall}" 'BEGIN {
 # (means re-merge exactly from the stored accumulators; the store's wall
 # stats are stripped, which only ever reads as "faster").  Then the same
 # campaign through 4 workers: the store file must be byte-for-byte
-# identical to the in-process one — the slot-positional spool plus the
+# identical to the inline one — the slot-positional spool plus the
 # canonical string table make worker arrival order invisible.
 ./bench/sweep_runner --sweep=../sweeps/smoke.sweep --threads=2 \
   --store --store-strip-wall --out-dir=bench-artifacts/store-smoke
@@ -148,15 +164,15 @@ awk -v off="${base_wall}" -v on="${telem_wall}" 'BEGIN {
   --store --store-strip-wall --out-dir=bench-artifacts/store-wq
 cmp bench-artifacts/store-smoke/BENCH_sweep_smoke.store \
     bench-artifacts/store-wq/BENCH_sweep_smoke.store \
-  || { echo "FAIL: worker store differs from in-process store"; exit 1; }
+  || { echo "FAIL: worker store differs from inline store"; exit 1; }
 
 # sweep_query must read the store it just gated: schema lists the swept
 # axis, and a group-by over it aggregates every metric.
 ./bench/sweep_query bench-artifacts/store-smoke/BENCH_sweep_smoke.store --schema
 ./bench/sweep_query bench-artifacts/store-smoke/BENCH_sweep_smoke.store \
   --group-by=channels --select=slots,decode_rate
-./bench/sweep_query bench-artifacts/store-smoke/BENCH_sweep_smoke.store \
-  --group-by=channels --format=json | grep -q '"decode_rate"' \
+output_has '"decode_rate"' ./bench/sweep_query \
+  bench-artifacts/store-smoke/BENCH_sweep_smoke.store --group-by=channels --format=json \
   || { echo "FAIL: sweep_query json output missing decode_rate"; exit 1; }
 
 # Sharded stores union in one query (disjoint cell indices merge), and
@@ -165,9 +181,9 @@ cmp bench-artifacts/store-smoke/BENCH_sweep_smoke.store \
   --store --store-strip-wall --out-dir=bench-artifacts/store-sh0
 ./bench/sweep_runner --sweep=../sweeps/smoke.sweep --threads=2 --shard=1/2 \
   --store --store-strip-wall --out-dir=bench-artifacts/store-sh1
-./bench/sweep_query bench-artifacts/store-sh0/BENCH_sweep_smoke.store \
+output_has '^all,3,slots,6,' ./bench/sweep_query \
+  bench-artifacts/store-sh0/BENCH_sweep_smoke.store \
   bench-artifacts/store-sh1/BENCH_sweep_smoke.store --select=slots --format=csv \
-  | grep -q '^all,3,slots,6,' \
   || { echo "FAIL: sharded store union did not merge 3 cells / 6 seeds"; exit 1; }
 if ./bench/sweep_query bench-artifacts/store-smoke/BENCH_sweep_smoke.store \
      bench-artifacts/store-smoke/BENCH_sweep_smoke.store --select=slots \
@@ -192,7 +208,7 @@ awk -v off="${base_wall}" -v on="${probe_wall}" 'BEGIN {
 # the armed report must pass the unarmed committed baseline bit-exactly
 # (arming probes never changes a result), the cause counters must
 # partition failed listens exactly (sum(cause.*) == listens - decodes),
-# and the 4-worker armed store must be byte-identical to the in-process
+# and the 4-worker armed store must be byte-identical to the inline
 # one (probe blobs reduce associatively; wall-derived telemetry is
 # stripped with the wall stats).
 ./bench/sweep_runner --sweep=../sweeps/smoke.sweep --threads=2 --probes \
@@ -214,19 +230,19 @@ awk -v off="${base_wall}" -v on="${probe_wall}" 'BEGIN {
   --store --store-strip-wall --out-dir=bench-artifacts/probe-wq
 cmp bench-artifacts/probe-smoke/BENCH_sweep_smoke.store \
     bench-artifacts/probe-wq/BENCH_sweep_smoke.store \
-  || { echo "FAIL: probes-armed worker store differs from in-process store"; exit 1; }
+  || { echo "FAIL: probes-armed worker store differs from inline store"; exit 1; }
 
 # The probe views: --series must surface the slot series and attribution
 # sketches, --pivot the axis-by-axis table.
-./bench/sweep_query bench-artifacts/probe-smoke/BENCH_sweep_smoke.store --series \
-  | grep -q 'slot series' \
+output_has 'slot series' ./bench/sweep_query \
+  bench-artifacts/probe-smoke/BENCH_sweep_smoke.store --series \
   || { echo "FAIL: sweep_query --series printed no slot series"; exit 1; }
-./bench/sweep_query bench-artifacts/probe-smoke/BENCH_sweep_smoke.store --series \
-  --format=json | grep -q '"series"' \
+output_has '"series"' ./bench/sweep_query \
+  bench-artifacts/probe-smoke/BENCH_sweep_smoke.store --series --format=json \
   || { echo "FAIL: sweep_query --series json missing series"; exit 1; }
-./bench/sweep_query bench-artifacts/probe-smoke/BENCH_sweep_smoke.store \
-  --pivot=channels,label --select=decode_rate \
-  | grep -q 'decode_rate: mean by channels' \
+output_has 'decode_rate: mean by channels' ./bench/sweep_query \
+  bench-artifacts/probe-smoke/BENCH_sweep_smoke.store --pivot=channels,label \
+  --select=decode_rate \
   || { echo "FAIL: sweep_query --pivot printed no pivot table"; exit 1; }
 
 # Multi-process trace merge: 4 cells so all 4 workers lease work, then the

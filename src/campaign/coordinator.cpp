@@ -4,6 +4,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -107,14 +108,6 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
   std::unordered_map<int, std::size_t> leafOf;  // cell.index -> leaf/record position
   for (std::size_t i = 0; i < shardCells.size(); ++i) leafOf[shardCells[i]->index] = i;
 
-  const auto recordDisplayMeans = [](CellRecord& rec, const MetricStats& stats) {
-    for (const auto& [name, s] : stats) {
-      if (name == "slots") rec.slotsMean = s.moments.mean();
-      if (name == "decode_rate") rec.decodeRateMean = s.moments.mean();
-      if (name == "wall_sec") rec.wallMeanSec = s.moments.mean();
-    }
-  };
-
   store::StoreWriter storeWriter;
   if (!opts.storePath.empty()) {
     store::StoreMeta meta;
@@ -127,42 +120,67 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
     meta.stripWall = opts.storeStripWall;
     if (!storeWriter.open(opts.storePath, meta, err)) return false;
   }
-  // Store rows land by slot, so arrival order is irrelevant to the file's
-  // final bytes.  Stats must be appended BEFORE the reducer consumes them.
-  const auto appendStoreRow = [&](std::size_t slot, const CellRecord& rec,
-                                  const MetricStats& stats, const MetricMap& tm,
-                                  const telemetry::ProbeState& probes, std::string& rowErr) {
-    if (!storeWriter.isOpen()) return true;
-    store::StoreCellRow row;
-    row.cellIndex = rec.cell.index;
-    row.label = rec.cell.label;
-    row.assignments = rec.cell.assignments;
-    row.seeds = rec.cell.spec.seeds;
-    row.failures = rec.failures;
-    row.delivered = rec.delivered;
-    row.valid = rec.valid;
-    row.invalid = rec.invalid;
-    row.stats = &stats;
-    row.telemetry = &tm;
-    row.probes = &probes;
-    return storeWriter.appendCell(slot, row, rowErr);
-  };
 
   TreeReducer reducer(shardCells.size());
-  const auto foldLeaf = [&](std::size_t leaf, MetricStats stats,
-                            telemetry::ProbeState probes) {
-    const double r0 = nowSec();
-    reducer.addLeaf(leaf, std::move(stats), std::move(probes));
-    telemetry::timerRecord(kReduce, static_cast<std::uint64_t>((nowSec() - r0) * 1e9));
-    if (reducer.pendingNodes() > out.peakPendingNodes) {
-      out.peakPendingNodes = reducer.pendingNodes();
-    }
-  };
-
   int done = 0;
   const int shardTotal = static_cast<int>(shardCells.size());
 
-  // Resume pass: fold trusted cached cells before anything is leased.
+  // The one RESULT handler.  Every counted cell — resumed from cache, run
+  // inline, or run by a forked worker — arrives as a RESULT body and lands
+  // here: fill the record, append the store row (by slot, so arrival order
+  // is irrelevant to the file's final bytes), then fold the reduction leaf.
+  const auto consumeResult = [&](std::size_t leaf, const Json& body, bool fromCache,
+                                 std::string& resultErr) {
+    CellRecord& rec = out.cells[leaf];
+    rec.fromCache = fromCache;
+    rec.failures = static_cast<int>(body.numberAt("failures"));
+    rec.delivered = static_cast<int>(body.numberAt("delivered"));
+    rec.valid = static_cast<int>(body.numberAt("valid"));
+    rec.invalid = static_cast<int>(body.numberAt("invalid"));
+    rec.wallSec = body.numberAt("wall_sec");
+    const Json* moments = body.find("moments");
+    NamedStats stats = moments ? momentsFromJson(*moments) : NamedStats{};
+    for (const auto& [name, st] : stats) {
+      if (name == "slots") rec.slotsMean = st.moments.mean();
+      if (name == "decode_rate") rec.decodeRateMean = st.moments.mean();
+      if (name == "wall_sec") rec.wallMeanSec = st.moments.mean();
+    }
+    const Json* probesJson = body.find("probes");
+    telemetry::ProbeState probes =
+        probesJson ? telemetry::probesFromJson(*probesJson) : telemetry::ProbeState();
+    if (storeWriter.isOpen()) {
+      MetricMap tm;
+      if (const Json* tmJson = body.find("telemetry"); tmJson != nullptr && tmJson->isObject()) {
+        for (const auto& [name, value] : tmJson->members()) tm.set(name, value.asDouble());
+      }
+      store::StoreCellRow row;
+      row.cellIndex = rec.cell.index;
+      row.label = rec.cell.label;
+      row.assignments = rec.cell.assignments;
+      row.seeds = rec.cell.spec.seeds;
+      row.failures = rec.failures;
+      row.delivered = rec.delivered;
+      row.valid = rec.valid;
+      row.invalid = rec.invalid;
+      row.stats = &stats;
+      row.telemetry = &tm;
+      row.probes = &probes;
+      std::string rowErr;
+      if (!storeWriter.appendCell(leaf, row, rowErr)) {
+        resultErr = "cell " + std::to_string(rec.cell.index) + " store row: " + rowErr;
+        return false;
+      }
+    }
+    const double r0 = nowSec();
+    reducer.addLeaf(leaf, std::move(stats), std::move(probes));
+    telemetry::timerRecord(kReduce, static_cast<std::uint64_t>((nowSec() - r0) * 1e9));
+    out.peakPendingNodes = std::max(out.peakPendingNodes, reducer.pendingNodes());
+    ++done;
+    return true;
+  };
+
+  // Resume pass: trusted cached cells go through the RESULT handler before
+  // anything is leased.
   std::deque<int> queue;  // pending cell indices, expansion order
   for (std::size_t i = 0; i < shardCells.size(); ++i) {
     const SweepCell& cell = *shardCells[i];
@@ -172,23 +190,9 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
       std::string loadErr;
       if (std::filesystem::exists(path) && loadCellResult(path, cached, loadErr) &&
           cellCacheMatches(cached, cell)) {
-        cached.cell = cell;
-        CellRecord& rec = out.cells[i];
-        rec.fromCache = true;
-        rec.failures = cached.batch.failures();
-        rec.delivered = cached.batch.deliveredCount();
-        rec.valid = cached.batch.validCount();
-        rec.invalid = cached.batch.invalidCount();
-        MetricStats stats = cellMetricStats(cached);
-        recordDisplayMeans(rec, stats);
-        std::string rowErr;
-        if (!appendStoreRow(i, rec, stats, cached.telemetry, cached.probes, rowErr)) {
-          err = "cell " + std::to_string(cell.index) + " store row: " + rowErr;
-          return false;
-        }
-        foldLeaf(i, std::move(stats), std::move(cached.probes));
+        cached.cell = cell;  // trust the freshly expanded spec, not the file
+        if (!consumeResult(i, resultFrame(cached, 0.0).body, true, err)) return false;
         if (opts.onCell) opts.onCell(cell, true);
-        ++done;
         continue;
       }
       // Stale or unreadable: fall through and lease the cell.
@@ -196,21 +200,53 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
     queue.push_back(cell.index);
   }
 
-  int workerCount = opts.workers;
-  if (workerCount <= 0) {
-    workerCount = static_cast<int>(std::thread::hardware_concurrency());
-    if (workerCount <= 0) workerCount = 2;
+  ProgressLine progress;
+  progress.enabled = opts.heartbeat;
+  progress.campaign = spec.name;
+  progress.shardCells = shardTotal;
+  progress.t0 = t0;
+
+  const auto countLease = [&](int cellIndex) {
+    ++out.leases;
+    telemetry::counterAdd(kLeases);
+    if (opts.onCell) opts.onCell(*shardCells[leafOf.at(cellIndex)], false);
+  };
+  const auto workerConfig = [&]() {
+    WorkerConfig cfg;
+    cfg.campaign = spec.name;
+    cfg.outDir = opts.outDir;
+    cfg.threads = opts.threadsPerWorker;
+    return cfg;
+  };
+
+  // Inline executor: lease each queued cell to this process, in order.
+  // It drains the queue, so the forked machinery below spawns nothing.
+  if (opts.workers <= 0) {
+    const WorkerConfig cfg = workerConfig();
+    while (!queue.empty()) {
+      const int cellIndex = queue.front();
+      queue.pop_front();
+      countLease(cellIndex);
+      const std::size_t leaf = leafOf.at(cellIndex);
+      Frame result;
+      if (!executeCell(*shardCells[leaf], cfg, result, err) ||
+          !consumeResult(leaf, result.body, false, err)) {
+        return false;
+      }
+      progress.emit(done, out.cachedCells(), queue.size(), 0, done == shardTotal);
+    }
   }
-  // Never more workers than leases to hand out.
-  if (static_cast<std::size_t>(workerCount) > queue.size()) {
-    workerCount = static_cast<int>(queue.size());
-  }
+
+  // Forked executor.  Never more workers than leases to hand out.
+  const int workerCount =
+      static_cast<int>(std::min<std::size_t>(std::max(opts.workers, 0), queue.size()));
 
   const SigPipeGuard sigpipe;  // dead-worker writes must be EPIPE, not SIGPIPE
   // Per-worker trace dumps: distinct worker ordinals (respawns included)
   // keep pids and file names collision-free; the merge pass below folds
   // whatever files materialized into the single --trace-out trace.
-  const bool tracingWorkers = !opts.traceOut.empty() && telemetry::traceEnabled();
+  const bool tracingWorkers =
+      opts.workers > 0 && !opts.traceOut.empty() && telemetry::traceEnabled();
   int nextWorkerId = 0;
   std::vector<std::string> workerTracePaths;
 
@@ -223,10 +259,7 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
     return fds;
   };
   const auto spawnWorker = [&]() -> bool {
-    WorkerConfig workerCfg;
-    workerCfg.campaign = spec.name;
-    workerCfg.outDir = opts.outDir;
-    workerCfg.threads = opts.threadsPerWorker;
+    WorkerConfig workerCfg = workerConfig();
     workerCfg.workerId = nextWorkerId++;
     if (tracingWorkers) {
       workerCfg.tracePath = opts.traceOut + ".worker" + std::to_string(workerCfg.workerId);
@@ -270,12 +303,6 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
     }
   }
 
-  ProgressLine progress;
-  progress.enabled = opts.heartbeat;
-  progress.campaign = spec.name;
-  progress.shardCells = shardTotal;
-  progress.t0 = t0;
-
   const auto sendLease = [&](WorkerSlot& w, int cellIndex) -> bool {
     Frame lease = makeFrame(FrameType::Lease);
     lease.body.set("cell", cellIndex);
@@ -283,12 +310,7 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
     if (!writeFrame(w.proc.fd, encodeFrame(lease), sendErr)) return false;
     w.leasedCell = cellIndex;
     w.leaseSentAt = nowSec();
-    ++out.leases;
-    telemetry::counterAdd(kLeases);
-    if (opts.onCell) {
-      const std::size_t leaf = leafOf.at(cellIndex);
-      opts.onCell(*shardCells[leaf], false);
-    }
+    countLease(cellIndex);
     return true;
   };
 
@@ -390,33 +412,8 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
           protocolErr = "worker returned unleased cell " + std::to_string(cellIndex);
           break;
         }
-        CellRecord& rec = out.cells[leafIt->second];
-        rec.failures = static_cast<int>(frame.body.numberAt("failures"));
-        rec.delivered = static_cast<int>(frame.body.numberAt("delivered"));
-        rec.valid = static_cast<int>(frame.body.numberAt("valid"));
-        rec.invalid = static_cast<int>(frame.body.numberAt("invalid"));
-        rec.wallSec = frame.body.numberAt("wall_sec");
-        const Json* moments = frame.body.find("moments");
-        MetricStats stats = moments ? momentsFromJson(*moments) : MetricStats{};
-        recordDisplayMeans(rec, stats);
-        const Json* probesJson = frame.body.find("probes");
-        telemetry::ProbeState probes =
-            probesJson ? telemetry::probesFromJson(*probesJson) : telemetry::ProbeState();
-        if (storeWriter.isOpen()) {
-          MetricMap tm;
-          if (const Json* tmJson = frame.body.find("telemetry");
-              tmJson != nullptr && tmJson->isObject()) {
-            for (const auto& [name, value] : tmJson->members()) tm.set(name, value.asDouble());
-          }
-          std::string rowErr;
-          if (!appendStoreRow(leafIt->second, rec, stats, tm, probes, rowErr)) {
-            protocolErr = "cell " + std::to_string(cellIndex) + " store row: " + rowErr;
-            break;
-          }
-        }
-        foldLeaf(leafIt->second, std::move(stats), std::move(probes));
+        if (!consumeResult(leafIt->second, frame.body, false, protocolErr)) break;
         w.leasedCell = -1;
-        ++done;
         progress.emit(done, out.cachedCells(), queue.size(), liveWorkers(),
                       done == shardTotal);
         if (!queue.empty()) {

@@ -9,17 +9,22 @@
 #include "campaign/reduce.h"
 #include "sweep/expand.h"
 
-/// The campaign coordinator: multi-process work-queue execution of a
-/// sweep.  Expands the sweep once, forks N workers connected by
-/// socketpairs, and leases cells one at a time — a worker that finishes
-/// early simply asks for more by finishing, so skewed grids (one heavy
-/// axis value) load-balance instead of starving behind a static shard
-/// split.
+/// The campaign coordinator: the one campaign engine.  It expands the
+/// sweep once, runs a resume pass over the cell files, and leases the
+/// remaining cells one at a time to an executor:
+///  - inline (workers == 0): each leased cell runs in the coordinator's
+///    own process, one after another;
+///  - forked (workers > 0): N worker processes connected by socketpairs
+///    each hold one lease at a time — a worker that finishes early simply
+///    asks for more by finishing, so skewed grids (one heavy axis value)
+///    load-balance instead of starving behind a static shard split.
+/// Both executors run the same cell body (executeCell, campaign/worker.h)
+/// and hand its RESULT frame to the same handler, which fills the
+/// CellRecord, appends the store row, and folds the reduction leaf.
 ///
 /// Contracts (locked by tests/test_campaign.cpp):
-///  - Every per-cell JSON is byte-identical to what the in-process
-///    single-threaded runner writes (wall times aside): workers run the
-///    same batch code, and per-cell results are thread- and
+///  - Every per-cell JSON is byte-identical across executors and worker
+///    counts (wall times aside): per-cell results are thread- and
 ///    process-count invariant.
 ///  - Leases are idempotent: a cell is identified by its deterministic
 ///    expansion fingerprint, cell files are written atomically, and
@@ -38,41 +43,47 @@
 namespace mcs::campaign {
 
 struct WorkQueueOptions {
-  /// Worker process count; 0 = hardware_concurrency.
+  /// Forked worker process count; 0 = inline (cells run in this process).
   int workers = 0;
-  /// ThreadPool lanes inside each worker's batch (default 1: process
-  /// parallelism replaces lane parallelism).
+  /// ThreadPool lanes inside each cell's seed batch (default 1: with
+  /// forked workers, process parallelism replaces lane parallelism).
   int threadsPerWorker = 1;
-  /// Shard of the cell grid to run; composes with --shard so a CI matrix
-  /// entry can itself run a work queue.
+  /// Shard of the cell grid to run (cellInShard); 0/1 = everything.
+  /// Composes with the work queue, so a CI matrix entry can itself run
+  /// one.
   int shardIndex = 0;
   int shardCount = 1;
-  /// Skip cells whose per-cell JSON already exists and matches (checked
-  /// in the coordinator before anything is leased).
+  /// Skip cells whose per-cell JSON already exists and matches
+  /// (cellCacheMatches, checked before anything is leased); mismatched or
+  /// unreadable files are re-run.  Off by default: a fresh campaign
+  /// overwrites stale cell files instead of trusting them.
   bool resume = false;
+  /// Root for per-cell JSONs (`<outDir>/sweep_cells/<campaign>/cell_<i>.json`).
   std::string outDir = ".";
   /// Progress heartbeat on stderr (cells done, queue depth, live
   /// workers, throughput, ETA).
   bool heartbeat = false;
-  /// Fault-injection hook for tests/CI: SIGKILL the worker holding this
-  /// cell's *first* lease right after it acknowledges, forcing the
-  /// requeue path deterministically.  -1 = off.
+  /// Fault-injection hook for tests/CI (forked workers only): SIGKILL the
+  /// worker holding this cell's *first* lease right after it
+  /// acknowledges, forcing the requeue path deterministically.  -1 = off.
   int faultKillCell = -1;
   /// Progress hook, called when a cell is leased (or resumed from cache).
   std::function<void(const SweepCell&, bool cached)> onCell;
   /// When non-empty, stream every finished cell into the columnar
   /// campaign store at this path (store/writer.h).  Rows land by slot
   /// (expansion-order position), so the finished file is byte-identical
-  /// to the in-process runner's no matter which worker finished first.
+  /// across executors no matter which worker finished first.
   std::string storePath;
   /// Zero the wall_sec stats in store rows (count survives) — the store
   /// analogue of stripWallTimes, for byte-for-byte comparisons.
   bool storeStripWall = false;
-  /// When non-empty (and tracing is armed), merge every worker's trace
-  /// ring into one Chrome trace at this path, with pid = workerId + 1 and
-  /// a process_name label per worker — one viewer lane per process.
-  /// Workers dump per-process files next to it (`<traceOut>.workerN`); the
-  /// coordinator concatenates them and deletes the intermediates.
+  /// When non-empty (tracing armed, forked workers), merge every
+  /// worker's trace ring into one Chrome trace at this path, with
+  /// pid = workerId + 1 and a process_name label per worker — one viewer
+  /// lane per process.  Workers dump per-process files next to it
+  /// (`<traceOut>.workerN`); the coordinator concatenates them and
+  /// deletes the intermediates.  Inline runs record into this process's
+  /// own ring instead.
   std::string traceOut;
 };
 
@@ -104,9 +115,9 @@ struct WorkQueueCampaign {
   /// completion order.
   std::vector<CellRecord> cells;
   /// Tree-reduced campaign-wide per-metric statistics.
-  MetricStats reduction;
+  NamedStats reduction;
   /// Tree-reduced campaign-wide probe aggregate (empty unless probes were
-  /// armed); byte-equivalent to the in-process runner's merged block.
+  /// armed).
   telemetry::ProbeState probes;
   /// Peak reducer frontier observed (memory diagnostics/tests).
   std::size_t peakPendingNodes = 0;
@@ -127,10 +138,10 @@ struct WorkQueueCampaign {
   }
 };
 
-/// Runs the campaign through the work queue.  Returns false on expansion
-/// errors, protocol failures, or an exhausted worker-death budget;
-/// per-seed failures inside cells do NOT fail the run (they are counted
-/// in the records, like the in-process runner).
+/// Runs the campaign.  Returns false on expansion errors, unwritable cell
+/// files or store rows, protocol failures, or an exhausted worker-death
+/// budget; per-seed failures inside cells do NOT fail the run (they are
+/// counted in the records — check WorkQueueCampaign::failures()).
 bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
                           WorkQueueCampaign& out, std::string& err);
 

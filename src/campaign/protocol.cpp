@@ -109,7 +109,7 @@ StreamingQuantiles quantileStateFromJson(const Json* j) {
 
 }  // namespace
 
-Json momentsToJson(const MetricStats& stats) {
+Json momentsToJson(const NamedStats& stats) {
   Json j = Json::object();
   for (const auto& [name, s] : stats) {
     Json m = Json::object();
@@ -125,8 +125,8 @@ Json momentsToJson(const MetricStats& stats) {
   return j;
 }
 
-MetricStats momentsFromJson(const Json& j) {
-  MetricStats out;
+NamedStats momentsFromJson(const Json& j) {
+  NamedStats out;
   if (!j.isObject()) return out;
   out.reserve(j.size());
   for (const auto& [name, m] : j.members()) {
@@ -141,6 +141,25 @@ MetricStats momentsFromJson(const Json& j) {
   return out;
 }
 
-MetricStats cellMetricStats(const CellResult& cell) { return cellStats(cell); }
+Frame resultFrame(const CellResult& cell, double wallSec) {
+  Frame result = makeFrame(FrameType::Result);
+  result.body.set("cell", cell.cell.index);
+  result.body.set("failures", cell.batch.failures());
+  result.body.set("delivered", cell.batch.deliveredCount());
+  result.body.set("valid", cell.batch.validCount());
+  result.body.set("invalid", cell.batch.invalidCount());
+  result.body.set("wall_sec", wallSec);
+  result.body.set("moments", momentsToJson(cellStats(cell)));
+  // Telemetry and probes ride along so the coordinator's store rows and
+  // reduction see exactly what the cell file holds (both round-trip
+  // losslessly through JSON).
+  if (!cell.telemetry.entries().empty()) {
+    Json tm = Json::object();
+    for (const auto& [name, value] : cell.telemetry.entries()) tm.set(name, value);
+    result.body.set("telemetry", std::move(tm));
+  }
+  if (!cell.probes.empty()) result.body.set("probes", telemetry::probesToJson(cell.probes));
+  return result;
+}
 
 }  // namespace mcs::campaign

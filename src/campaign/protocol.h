@@ -56,14 +56,16 @@ struct Frame {
 /// shortest-round-trip formatting, so the coordinator-side merge is
 /// bit-identical to merging the original accumulators in process.
 /// Metric order is preserved (display order, NOT sorted): the store
-/// writer binds its column schema to this order, so the coordinator and
-/// the in-process runner must see the same sequence.
-[[nodiscard]] Json momentsToJson(const MetricStats& stats);
-[[nodiscard]] MetricStats momentsFromJson(const Json& j);
+/// writer binds its column schema to this order, so every RESULT must
+/// carry the same sequence.
+[[nodiscard]] Json momentsToJson(const NamedStats& stats);
+[[nodiscard]] NamedStats momentsFromJson(const Json& j);
 
-/// One cell's reduction leaf: cellStats(cell) from sweep/runner.h — the
-/// exact per-seed accumulation CellResult::summaries() reports, in
-/// display order (the reducer name-sorts on addLeaf).
-[[nodiscard]] MetricStats cellMetricStats(const CellResult& cell);
+/// The RESULT frame for one finished cell: batch counters, the wall
+/// time of its batch, cellStats(cell) as moments, and the telemetry and
+/// probe blocks when present.  Every cell the coordinator counts —
+/// executed inline, in a forked worker, or loaded from cache on resume —
+/// reaches its one RESULT handler through this frame.
+[[nodiscard]] Frame resultFrame(const CellResult& cell, double wallSec);
 
 }  // namespace mcs::campaign

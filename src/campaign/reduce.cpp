@@ -15,13 +15,13 @@ std::uint64_t nodeKey(std::size_t level, std::size_t idx) {
 
 }  // namespace
 
-void sortMetricStats(MetricStats& stats) {
+void sortMetricStats(NamedStats& stats) {
   std::sort(stats.begin(), stats.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
-MetricStats mergeMetricStats(const MetricStats& left, const MetricStats& right) {
-  MetricStats out;
+NamedStats mergeMetricStats(const NamedStats& left, const NamedStats& right) {
+  NamedStats out;
   out.reserve(std::max(left.size(), right.size()));
   std::size_t i = 0, j = 0;
   while (i < left.size() || j < right.size()) {
@@ -54,7 +54,7 @@ TreeReducer::TreeReducer(std::size_t leaves) : leaves_(leaves) {
   }
 }
 
-void TreeReducer::addLeaf(std::size_t index, MetricStats stats, telemetry::ProbeState probes) {
+void TreeReducer::addLeaf(std::size_t index, NamedStats stats, telemetry::ProbeState probes) {
   assert(index < leaves_);
   sortMetricStats(stats);
   ++received_;

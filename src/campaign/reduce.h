@@ -31,14 +31,12 @@
 /// summaries each — still nothing like buffering per-seed rows.
 namespace mcs::campaign {
 
-/// Per-metric statistics of one reduction node, name-sorted: moments
+/// Each reduction node holds name-sorted per-metric NamedStats: moments
 /// plus the mergeable quantile state (util/sketch.h).  Leaves are a
 /// cell's per-seed stats; the root is the whole campaign's.  The sketch
 /// half is merge-order invariant outright (integer bucket counts), so
-/// the fixed tree shape below is only load-bearing for the moments —
-/// but both ride it, and the root stays a pure function of the leaves.
-using MetricStats = NamedStats;
-
+/// the fixed tree shape is only load-bearing for the moments — but both
+/// ride it, and the root stays a pure function of the leaves.
 class TreeReducer {
  public:
   /// A reducer over exactly `leaves` cells (0 is valid and yields an
@@ -53,7 +51,7 @@ class TreeReducer {
   /// commute outright, so the fixed tree shape is belt-and-braces there,
   /// but carrying it through the one reduction path keeps the campaign
   /// aggregate a single pure function of the leaves.
-  void addLeaf(std::size_t index, MetricStats stats,
+  void addLeaf(std::size_t index, NamedStats stats,
                telemetry::ProbeState probes = telemetry::ProbeState());
 
   /// True once every leaf has arrived.
@@ -64,7 +62,7 @@ class TreeReducer {
 
   /// The root aggregate.  Only meaningful when complete(); an incomplete
   /// reduction returns whatever has reached the root (empty until then).
-  [[nodiscard]] const MetricStats& root() const noexcept { return root_.stats; }
+  [[nodiscard]] const NamedStats& root() const noexcept { return root_.stats; }
 
   /// The root probe aggregate (empty unless leaves carried probes).
   [[nodiscard]] const telemetry::ProbeState& rootProbes() const noexcept {
@@ -75,7 +73,7 @@ class TreeReducer {
   /// One reduction node: the per-metric statistics plus the probe payload
   /// riding the same merges.
   struct Node {
-    MetricStats stats;
+    NamedStats stats;
     telemetry::ProbeState probes;
   };
 
@@ -90,14 +88,14 @@ class TreeReducer {
   Node root_;
 };
 
-/// Merges two name-sorted MetricStats (left folded into right's values
+/// Merges two name-sorted NamedStats (left folded into right's values
 /// via StreamingStats::merge, i.e. result = left.merge(right) per shared
 /// metric); names only in one side pass through.  Sketch-mode quantile
 /// merges are counted under the store.sketch_merges telemetry counter.
 /// Exposed for tests.
-[[nodiscard]] MetricStats mergeMetricStats(const MetricStats& left, const MetricStats& right);
+[[nodiscard]] NamedStats mergeMetricStats(const NamedStats& left, const NamedStats& right);
 
 /// Sorts by metric name (the canonical node form addLeaf establishes).
-void sortMetricStats(MetricStats& stats);
+void sortMetricStats(NamedStats& stats);
 
 }  // namespace mcs::campaign

@@ -1,6 +1,7 @@
 #include "campaign/report.h"
 
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "telemetry/telemetry.h"
 #include "util/csv.h"
 #include "util/json.h"
+#include "util/stats.h"
 
 namespace mcs::campaign {
 
@@ -37,6 +39,82 @@ bool readCellBytes(const std::string& path, std::string& bytes, std::string& err
   return true;
 }
 
+/// The CSV's leading axis columns: the axis-key union over the cells in
+/// first-appearance order (cells of one campaign share the same keys).
+std::vector<std::string> campaignAxisKeys(const WorkQueueCampaign& campaign) {
+  std::vector<std::string> axisKeys;
+  for (const CellRecord& rec : campaign.cells) {
+    for (const auto& [key, value] : rec.cell.assignments) {
+      bool seen = false;
+      for (const std::string& have : axisKeys) {
+        if (have == key) {
+          seen = true;
+          break;
+        }
+      }
+      if (!seen) axisKeys.push_back(key);
+    }
+  }
+  return axisKeys;
+}
+
+/// Appends one cell's CSV rows (per-seed, summary, telemetry) under the
+/// given axis-key header.
+void appendCellCsvRows(std::ostream& f, const CellResult& cell,
+                       const std::vector<std::string>& axisKeys) {
+  std::vector<std::string> prefix = {std::to_string(cell.cell.index), cell.cell.label};
+  for (const std::string& key : axisKeys) {
+    std::string value;
+    for (const auto& [k, v] : cell.cell.assignments) {
+      if (k == key) {
+        value = v;
+        break;
+      }
+    }
+    prefix.push_back(value);
+  }
+  for (const SeedResult& r : cell.batch.perSeed) {
+    const auto emit = [&](const std::string& metric, double value) {
+      std::vector<std::string> cols = prefix;
+      cols.push_back(std::to_string(r.seed));
+      cols.push_back(metric);
+      cols.push_back(formatDouble(value, 9));
+      f << csvJoin(cols) << '\n';
+    };
+    emit("slots", static_cast<double>(r.slots));
+    emit("decode_rate", r.decodeRate);
+    emit("structure_slots", static_cast<double>(r.structureSlots));
+    emit("delivered", r.delivered ? 1.0 : 0.0);
+    emit("wall_sec", r.wallSec);
+    for (const auto& [name, value] : r.metrics.entries()) emit(name, value);
+  }
+  // Per-cell summary rows: the batch mean and its 95% CI half-width,
+  // one pair per summarized metric, with the literal words "mean" /
+  // "ci95" in the seed column (long-form consumers filter on it).
+  for (const auto& [metric, summary] : cell.summaries()) {
+    const auto emitSummary = [&](const char* stat, double value) {
+      std::vector<std::string> cols = prefix;
+      cols.emplace_back(stat);
+      cols.push_back(metric);
+      cols.push_back(formatDouble(value, 9));
+      f << csvJoin(cols) << '\n';
+    };
+    emitSummary("mean", summary.mean);
+    emitSummary("ci95", summary.ci95);
+  }
+  // Per-cell telemetry rows (engine counters / phase timings attributed
+  // to this cell), with the literal word "telemetry" in the seed column.
+  // Absent unless the campaign ran with --metrics, so default CSVs are
+  // unchanged.
+  for (const auto& [name, value] : cell.telemetry.entries()) {
+    std::vector<std::string> cols = prefix;
+    cols.emplace_back("telemetry");
+    cols.push_back(name);
+    cols.push_back(formatDouble(value, 9));
+    f << csvJoin(cols) << '\n';
+  }
+}
+
 }  // namespace
 
 bool writeWorkQueueCampaignReport(const WorkQueueCampaign& campaign,
@@ -49,11 +127,10 @@ bool writeWorkQueueCampaignReport(const WorkQueueCampaign& campaign,
     return false;
   }
 
-  // The envelope replicates campaignToJson's layout (and Json::dump's
-  // `"key": value, ` formatting) exactly, with the cells array spliced
-  // from the per-cell files instead of re-serialized — byte-identical
-  // because cellToJson round-trips through loadCellResult losslessly,
-  // so the worker-written file already holds the canonical bytes.
+  // The envelope follows Json::dump's `"key": value, ` formatting, with
+  // the cells array spliced from the per-cell files instead of
+  // re-serialized: the cell file already holds cellToJson's canonical
+  // bytes, and the whole report stays one parseable JSON document.
   Json meta = Json::object();
   meta.set("sweep", campaign.name);
   meta.set("base", campaign.baseName);
@@ -79,13 +156,15 @@ bool writeWorkQueueCampaignReport(const WorkQueueCampaign& campaign,
     f << bytes;
   }
   f << ']';
-  // Campaign-wide probe aggregate, between "cells" and "telemetry" like
-  // campaignToJson: the coordinator's tree-reduced root equals the
-  // in-process merge of the per-cell states (probe folds commute), so the
-  // blocks match byte-for-byte.
+  // Campaign-wide probe aggregate between "cells" and "telemetry": the
+  // coordinator's tree-reduced root of the per-cell states (probe folds
+  // commute, so it is independent of completion order).  Present only
+  // when some cell captured probes.
   if (!campaign.probes.empty()) {
     f << ", \"probes\": " << telemetry::probesToJson(campaign.probes).dump();
   }
+  // Campaign-wide counter/timer totals of this process, present only when
+  // telemetry is enabled — the default report layout stays fixed.
   if (telemetry::enabled()) {
     const telemetry::MetricsSnapshot snap = telemetry::snapshotMetrics();
     if (!snap.empty()) f << ", \"telemetry\": " << snap.toJson().dump();
@@ -108,10 +187,7 @@ bool writeWorkQueueCampaignCsv(const WorkQueueCampaign& campaign, const std::str
   }
   // Axis keys come from the expansion the coordinator retained, so the
   // header is available before any cell file is touched.
-  std::vector<std::vector<std::pair<std::string, std::string>>> assignments;
-  assignments.reserve(campaign.cells.size());
-  for (const CellRecord& rec : campaign.cells) assignments.push_back(rec.cell.assignments);
-  const std::vector<std::string> axisKeys = campaignAxisKeys(assignments);
+  const std::vector<std::string> axisKeys = campaignAxisKeys(campaign);
 
   std::vector<std::string> header = {"cell", "label"};
   for (const std::string& key : axisKeys) header.push_back(key);

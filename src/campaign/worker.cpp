@@ -3,12 +3,12 @@
 #include <filesystem>
 #include <system_error>
 
-#include "campaign/protocol.h"
 #include "sweep/report.h"
 #include "sweep/runner.h"
 #include "telemetry/probes.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
+#include "util/clock.h"
 #include "util/framing.h"
 #include "util/proc.h"
 
@@ -16,24 +16,65 @@ namespace mcs::campaign {
 
 namespace {
 
-const SweepCell* findCell(const std::vector<SweepCell>& cells, int index) {
-  // Expansion assigns index = position; trust but verify, fall back to a
-  // scan so a future reindexing scheme degrades to O(n), not to wrong
-  // cells.
-  if (index >= 0 && index < static_cast<int>(cells.size()) && cells[index].index == index) {
-    return &cells[index];
+/// Flattens a telemetry snapshot delta into `out` under a "tm." prefix
+/// (counters as totals, timers as ".sec"/".count" pairs).
+void recordCellTelemetry(const telemetry::MetricsSnapshot& delta, MetricMap& out) {
+  for (const telemetry::CounterSample& c : delta.counters) {
+    if (c.value != 0) out.set("tm." + c.name, static_cast<double>(c.value));
   }
-  for (const SweepCell& c : cells) {
-    if (c.index == index) return &c;
+  for (const telemetry::TimerSample& t : delta.timers) {
+    if (t.count == 0) continue;
+    out.set("tm." + t.name + ".sec", t.totalSec);
+    out.set("tm." + t.name + ".count", static_cast<double>(t.count));
   }
-  return nullptr;
 }
 
 }  // namespace
 
+bool executeCell(const SweepCell& cell, const WorkerConfig& cfg, Frame& result,
+                 std::string& err) {
+  static const telemetry::TimerId kCellTimer = telemetry::timerId("sweep.cell");
+  CellResult res;
+  res.cell = cell;
+  // Seed batches join before returning, so a snapshot delta around the
+  // batch attributes engine counters to this cell exactly (when telemetry
+  // is enabled; free otherwise).
+  const bool withTelemetry = telemetry::enabled();
+  telemetry::MetricsSnapshot before;
+  if (withTelemetry) before = telemetry::snapshotMetrics();
+  // Probes have no snapshot-delta idiom (sketches don't subtract), so
+  // per-cell attribution is a reset/snapshot pair — sound because cells
+  // run serially per process; only the seeds within a cell are
+  // concurrent, and probe folds commute.
+  const bool withProbes = telemetry::probesEnabled();
+  if (withProbes) telemetry::resetProbes();
+  double cellWall = 0.0;
+  {
+    const double t0 = nowSec();
+    const telemetry::PhaseTimer cellTimer(kCellTimer);
+    res.batch = runScenarioBatch(cell.spec, cfg.threads);
+    cellWall = nowSec() - t0;
+  }
+  if (withTelemetry) {
+    recordCellTelemetry(telemetry::snapshotMetrics().diff(before), res.telemetry);
+  }
+  if (withProbes) res.probes = telemetry::snapshotProbes();
+
+  // Atomic cell write *before* RESULT: once the coordinator sees the
+  // RESULT, the complete cell file is guaranteed on disk.
+  const std::string path = cellFilePath(cfg.outDir, cfg.campaign, cell.index);
+  std::error_code ec;
+  std::filesystem::create_directories(std::filesystem::path(path).parent_path(), ec);
+  if (!writeCellFile(res, path, err)) {
+    err = "cell " + std::to_string(cell.index) + ": " + err;
+    return false;
+  }
+  result = resultFrame(res, cellWall);
+  return true;
+}
+
 int campaignWorkerMain(int fd, const std::vector<SweepCell>& cells, const WorkerConfig& cfg) {
   const SigPipeGuard sigpipe;  // a dying coordinator must surface as EPIPE
-  static const telemetry::TimerId kCellTimer = telemetry::timerId("sweep.cell");
   // Trace dump on every exit path (DONE, EOF, protocol error): the
   // coordinator merges whatever per-worker files exist, so a worker that
   // died mid-campaign still contributes the events it recorded.
@@ -58,9 +99,10 @@ int campaignWorkerMain(int fd, const std::vector<SweepCell>& cells, const Worker
     }
     if (frame.type != FrameType::Lease) continue;  // ignore unexpected kinds
 
+    // expandSweep assigns index = position, so the index addresses the
+    // cell directly; anything outside the expansion is a protocol error.
     const int index = static_cast<int>(frame.body.numberAt("cell", -1.0));
-    const SweepCell* cell = findCell(cells, index);
-    if (cell == nullptr) return 3;  // coordinator leased a cell we don't hold
+    if (index < 0 || index >= static_cast<int>(cells.size())) return 3;
 
     // Lease acknowledgement — the coordinator's liveness signal and the
     // campaign.lease_rtt sample.
@@ -68,57 +110,8 @@ int campaignWorkerMain(int fd, const std::vector<SweepCell>& cells, const Worker
     ack.body.set("cell", index);
     if (!writeFrame(fd, encodeFrame(ack), err)) return 0;
 
-    // Run the cell exactly as the in-process runner would.
-    CellResult res;
-    res.cell = *cell;
-    const bool withTelemetry = telemetry::enabled();
-    telemetry::MetricsSnapshot before;
-    if (withTelemetry) before = telemetry::snapshotMetrics();
-    // Same reset/snapshot attribution as the in-process runner: this
-    // worker runs cells serially, so the pair brackets exactly one cell.
-    const bool withProbes = telemetry::probesEnabled();
-    if (withProbes) telemetry::resetProbes();
-    double cellWall = 0.0;
-    {
-      const double t0 = nowSec();
-      const telemetry::PhaseTimer cellTimer(kCellTimer);
-      res.batch = runScenarioBatch(cell->spec, cfg.threads);
-      cellWall = nowSec() - t0;
-    }
-    if (withTelemetry) {
-      recordCellTelemetry(telemetry::snapshotMetrics().diff(before), res.telemetry);
-    }
-    if (withProbes) res.probes = telemetry::snapshotProbes();
-
-    // Atomic cell write *before* RESULT: once the coordinator sees the
-    // RESULT, the complete cell file is guaranteed on disk.
-    const std::string path = cellFilePath(cfg.outDir, cfg.campaign, cell->index);
-    std::error_code ec;
-    std::filesystem::create_directories(std::filesystem::path(path).parent_path(), ec);
-    std::string writeErr;
-    if (!writeCellFile(res, path, writeErr)) return 4;
-
-    Frame result = makeFrame(FrameType::Result);
-    result.body.set("cell", index);
-    result.body.set("failures", res.batch.failures());
-    result.body.set("delivered", res.batch.deliveredCount());
-    result.body.set("valid", res.batch.validCount());
-    result.body.set("invalid", res.batch.invalidCount());
-    result.body.set("wall_sec", cellWall);
-    result.body.set("moments", momentsToJson(cellMetricStats(res)));
-    // Telemetry rides along so the coordinator's store rows match what
-    // the in-process runner would have written for this cell.
-    if (!res.telemetry.entries().empty()) {
-      Json tm = Json::object();
-      for (const auto& [name, value] : res.telemetry.entries()) tm.set(name, value);
-      result.body.set("telemetry", std::move(tm));
-    }
-    // Probe payload rides the RESULT frame (lossless JSON round-trip), so
-    // the coordinator's store rows and reduction match the in-process
-    // runner's bytes.
-    if (!res.probes.empty()) {
-      result.body.set("probes", telemetry::probesToJson(res.probes));
-    }
+    Frame result;
+    if (!executeCell(cells[static_cast<std::size_t>(index)], cfg, result, err)) return 4;
     if (!writeFrame(fd, encodeFrame(result), err)) return 0;
   }
 }

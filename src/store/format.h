@@ -53,7 +53,7 @@ inline constexpr std::uint32_t kStoreVersion = 2;
 /// misreading every column.
 inline constexpr std::uint32_t kEndianTag = 0x01020304;
 /// Set when wall_sec stats/sketches were zeroed at write time
-/// (CampaignOptions::storeStripWall), keeping the file byte-identical
+/// (WorkQueueOptions::storeStripWall), keeping the file byte-identical
 /// across runs and worker counts.
 inline constexpr std::uint32_t kFlagWallStripped = 1u << 0;
 

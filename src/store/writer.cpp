@@ -358,8 +358,8 @@ bool StoreWriter::finish(std::string& err) {
   const std::size_t pbLenField = colPbLen(axisCount, metricCount);
 
   // Canonical string table.  The spool interned strings in appendCell
-  // arrival order, which differs between the in-process runner and a
-  // work queue's completion order; re-pooling sorted (and remapping every
+  // arrival order, which differs between an inline campaign and forked
+  // workers' completion order; re-pooling sorted (and remapping every
   // id on the way out) makes the final bytes a function of the string
   // SET, which is what the byte-identity contract needs.  Ids are fixed
   // 4-byte fields everywhere (columns, names, telemetry blobs), so no

@@ -15,7 +15,7 @@
 /// Rows land by *slot* — the cell's position in the shard's expansion
 /// order — via pwrite into a fixed-width spool file, so the coordinator
 /// can append RESULT frames in whatever order workers finish and still
-/// produce the same bytes as the in-process runner appending in order:
+/// produce the same bytes as an inline campaign appending in order:
 /// the spool is positional, the variable-length blobs are reordered
 /// canonically at finish(), and the final file is assembled column by
 /// column with chunked strided reads (O(chunk) memory, never

@@ -39,7 +39,7 @@ struct SweepCheckResult {
   [[nodiscard]] bool ok() const noexcept { return violations.empty(); }
 };
 
-/// Compares two campaign JSONs (the campaignToJson layout).
+/// Compares two campaign JSONs (the writeWorkQueueCampaignReport layout).
 [[nodiscard]] SweepCheckResult compareCampaigns(const Json& baseline, const Json& candidate,
                                                 const SweepCheckOptions& opts);
 

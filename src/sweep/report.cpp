@@ -3,11 +3,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <ostream>
 #include <system_error>
 
-#include "telemetry/telemetry.h"
-#include "util/csv.h"
+#include "telemetry/probes.h"
 #include "util/stats.h"
 
 namespace mcs {
@@ -47,19 +45,6 @@ void stripWallTimes(Json& j) {
   } else if (j.isArray()) {
     for (Json& item : j.items()) stripWallTimes(item);
   }
-}
-
-Summary summaryFromJson(const Json& j) {
-  Summary s;
-  s.count = static_cast<std::size_t>(j.numberAt("count"));
-  s.mean = j.numberAt("mean");
-  s.stddev = j.numberAt("stddev");
-  s.ci95 = j.numberAt("ci95");
-  s.min = j.numberAt("min");
-  s.median = j.numberAt("p50");
-  s.p95 = j.numberAt("p95");
-  s.max = j.numberAt("max");
-  return s;
 }
 
 namespace {
@@ -146,46 +131,9 @@ Json cellToJson(const CellResult& cell) {
     j.set("telemetry", std::move(tm));
   }
   // Probe block only when probes were armed for this cell (same layout
-  // guarantee): sketches + series round-trip losslessly, so a resumed or
-  // worker-shipped cell reproduces the in-process probe bytes exactly.
+  // guarantee): sketches + series round-trip losslessly, so a resumed
+  // cell reproduces the probe bytes it was written with exactly.
   if (!cell.probes.empty()) j.set("probes", telemetry::probesToJson(cell.probes));
-  return j;
-}
-
-Json campaignToJson(const CampaignResult& campaign) {
-  Json j = Json::object();
-  j.set("name", "sweep_" + campaign.name);
-  j.set("kind", "sweep");
-  Json meta = Json::object();
-  meta.set("sweep", campaign.name);
-  meta.set("base", campaign.baseName);
-  meta.set("description", campaign.description);
-  meta.set("total_cells", campaign.totalCells);
-  meta.set("shard_index", campaign.shardIndex);
-  meta.set("shard_count", campaign.shardCount);
-  meta.set("cells_in_shard", static_cast<int>(campaign.cells.size()));
-  meta.set("cells_cached", campaign.cachedCells());
-  meta.set("failures", campaign.failures());
-  meta.set("wall_sec", campaign.wallSec);
-  j.set("meta", std::move(meta));
-  Json cells = Json::array();
-  for (const CellResult& cell : campaign.cells) cells.push_back(cellToJson(cell));
-  j.set("cells", std::move(cells));
-  // Campaign-wide probe aggregate: the merge of every cell's probe state
-  // (merge order cannot matter — sketch and series folds commute), present
-  // only when some cell captured probes.  Sits between "cells" and
-  // "telemetry"; the work-queue report writer replicates this layout.
-  {
-    telemetry::ProbeState merged;
-    for (const CellResult& cell : campaign.cells) merged.merge(cell.probes);
-    if (!merged.empty()) j.set("probes", telemetry::probesToJson(merged));
-  }
-  // Campaign-wide counter/timer totals, present only when telemetry is
-  // enabled — the default report layout stays byte-identical.
-  if (telemetry::enabled()) {
-    const telemetry::MetricsSnapshot snap = telemetry::snapshotMetrics();
-    if (!snap.empty()) j.set("telemetry", snap.toJson());
-  }
   return j;
 }
 
@@ -250,120 +198,6 @@ bool loadCellResult(const std::string& path, CellResult& out, std::string& err) 
   }
   if (const Json* probes = j.find("probes"); probes != nullptr) {
     out.probes = telemetry::probesFromJson(*probes);
-  }
-  return true;
-}
-
-bool writeCampaignReport(const CampaignResult& campaign, const std::string& dir,
-                         std::string& pathOut, std::string& err) {
-  pathOut = dir + "/BENCH_sweep_" + campaign.name + ".json";
-  std::ofstream f(pathOut);
-  f << campaignToJson(campaign).dump() << '\n';
-  f.flush();
-  if (!f.good()) {
-    err = "cannot write campaign report \"" + pathOut + "\"";
-    return false;
-  }
-  return true;
-}
-
-std::vector<std::string> campaignAxisKeys(
-    const std::vector<std::vector<std::pair<std::string, std::string>>>& assignments) {
-  // Axis columns: union over cells in first-appearance order (cells of
-  // one campaign share the same axis keys).
-  std::vector<std::string> axisKeys;
-  for (const auto& cellAssignments : assignments) {
-    for (const auto& [key, value] : cellAssignments) {
-      bool seen = false;
-      for (const std::string& have : axisKeys) {
-        if (have == key) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) axisKeys.push_back(key);
-    }
-  }
-  return axisKeys;
-}
-
-void appendCellCsvRows(std::ostream& f, const CellResult& cell,
-                       const std::vector<std::string>& axisKeys) {
-  std::vector<std::string> prefix = {std::to_string(cell.cell.index), cell.cell.label};
-  for (const std::string& key : axisKeys) {
-    std::string value;
-    for (const auto& [k, v] : cell.cell.assignments) {
-      if (k == key) {
-        value = v;
-        break;
-      }
-    }
-    prefix.push_back(value);
-  }
-  for (const SeedResult& r : cell.batch.perSeed) {
-    const auto emit = [&](const std::string& metric, double value) {
-      std::vector<std::string> cols = prefix;
-      cols.push_back(std::to_string(r.seed));
-      cols.push_back(metric);
-      cols.push_back(formatDouble(value, 9));
-      f << csvJoin(cols) << '\n';
-    };
-    emit("slots", static_cast<double>(r.slots));
-    emit("decode_rate", r.decodeRate);
-    emit("structure_slots", static_cast<double>(r.structureSlots));
-    emit("delivered", r.delivered ? 1.0 : 0.0);
-    emit("wall_sec", r.wallSec);
-    for (const auto& [name, value] : r.metrics.entries()) emit(name, value);
-  }
-  // Per-cell summary rows: the batch mean and its 95% CI half-width,
-  // one pair per summarized metric, with the literal words "mean" /
-  // "ci95" in the seed column (long-form consumers filter on it).
-  for (const auto& [metric, summary] : cell.summaries()) {
-    const auto emitSummary = [&](const char* stat, double value) {
-      std::vector<std::string> cols = prefix;
-      cols.emplace_back(stat);
-      cols.push_back(metric);
-      cols.push_back(formatDouble(value, 9));
-      f << csvJoin(cols) << '\n';
-    };
-    emitSummary("mean", summary.mean);
-    emitSummary("ci95", summary.ci95);
-  }
-  // Per-cell telemetry rows (engine counters / phase timings attributed
-  // to this cell), with the literal word "telemetry" in the seed column.
-  // Absent unless the campaign ran with --metrics, so default CSVs are
-  // unchanged.
-  for (const auto& [name, value] : cell.telemetry.entries()) {
-    std::vector<std::string> cols = prefix;
-    cols.emplace_back("telemetry");
-    cols.push_back(name);
-    cols.push_back(formatDouble(value, 9));
-    f << csvJoin(cols) << '\n';
-  }
-}
-
-bool writeCampaignCsv(const CampaignResult& campaign, const std::string& path,
-                      std::string& err) {
-  std::ofstream f(path);
-  if (!f) {
-    err = "cannot write campaign CSV \"" + path + "\"";
-    return false;
-  }
-  std::vector<std::vector<std::pair<std::string, std::string>>> assignments;
-  assignments.reserve(campaign.cells.size());
-  for (const CellResult& cell : campaign.cells) assignments.push_back(cell.cell.assignments);
-  const std::vector<std::string> axisKeys = campaignAxisKeys(assignments);
-
-  std::vector<std::string> header = {"cell", "label"};
-  for (const std::string& key : axisKeys) header.push_back(key);
-  header.insert(header.end(), {"seed", "metric", "value"});
-  f << csvJoin(header) << '\n';
-
-  for (const CellResult& cell : campaign.cells) appendCellCsvRows(f, cell, axisKeys);
-  f.flush();
-  if (!f.good()) {
-    err = "cannot write campaign CSV \"" + path + "\"";
-    return false;
   }
   return true;
 }

@@ -1,17 +1,15 @@
 #pragma once
 
-#include <iosfwd>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "sweep/runner.h"
 #include "util/json.h"
 
-/// Campaign serialization: per-cell JSONs (the resume substrate), the
-/// campaign-level BENCH_sweep_<name>.json artifact, and the long-form
-/// CSV.  The JSON layout is locked by a golden-file test; sweep_check
-/// consumes the campaign JSON, so layout changes need a baseline refresh.
+/// Per-cell JSON serialization: the cell files every campaign writes (the
+/// resume substrate, and the bytes campaign/report.h splices into the
+/// campaign report).  The layout is locked by a golden-file test;
+/// sweep_check consumes the campaign JSON, so layout changes need a
+/// baseline refresh.
 namespace mcs {
 
 /// One cell as JSON: identity (index/label/assignments/scenario), batch
@@ -19,11 +17,9 @@ namespace mcs {
 [[nodiscard]] Json cellToJson(const CellResult& cell);
 
 /// A Summary as the JSON object the cell "summaries" block uses
-/// (count/mean/stddev/ci95/min/p50/p95/max), and its inverse.  Shared
-/// with the campaign worker protocol, which streams per-cell summary
-/// tables over the wire in exactly this layout.
+/// (count/mean/stddev/ci95/min/p50/p95/max).  Shared with the store's
+/// summaries view, so store-backed and file-backed reports match.
 [[nodiscard]] Json summaryToJson(const Summary& s);
-[[nodiscard]] Summary summaryFromJson(const Json& j);
 
 /// Zeroes every wall-clock field of a cell or campaign JSON tree in
 /// place (per-seed "wall_sec" values, the "wall_sec" summary block, and
@@ -31,10 +27,6 @@ namespace mcs {
 /// field in an otherwise bit-reproducible report, so the byte-identity
 /// tests and tooling compare dumps after this canonicalization.
 void stripWallTimes(Json& j);
-
-/// The whole campaign: name, sweep metadata (base, shard, cell counts),
-/// and every cell of this shard in expansion order.
-[[nodiscard]] Json campaignToJson(const CampaignResult& campaign);
 
 /// Writes one per-cell JSON (parent directory must exist).  The write is
 /// atomic — bytes land in `<path>.tmp` and rename() into place — so a
@@ -45,30 +37,5 @@ bool writeCellFile(const CellResult& cell, const std::string& path, std::string&
 /// Parses a per-cell JSON back into a CellResult (batch fully populated,
 /// summaries recomputable).  The inverse of writeCellFile.
 bool loadCellResult(const std::string& path, CellResult& out, std::string& err);
-
-/// Writes `BENCH_sweep_<name>.json` into `dir`; reports the path in
-/// `pathOut`.
-bool writeCampaignReport(const CampaignResult& campaign, const std::string& dir,
-                         std::string& pathOut, std::string& err);
-
-/// Long-form CSV: one row per (cell, seed, metric) with the campaign's
-/// axis keys as leading columns — `cell,label,<axis...>,seed,metric,value`.
-/// Metric names and labels pass through csvEscape.
-bool writeCampaignCsv(const CampaignResult& campaign, const std::string& path,
-                      std::string& err);
-
-/// The axis-key union over `assignments` lists in first-appearance order
-/// (the CSV's leading columns).  Factored out so the streaming CSV
-/// writer in campaign/report.cpp derives the identical header from cell
-/// summary records without materializing CellResults.
-[[nodiscard]] std::vector<std::string> campaignAxisKeys(
-    const std::vector<std::vector<std::pair<std::string, std::string>>>& assignments);
-
-/// Appends one cell's CSV rows (per-seed, summary, telemetry) to an open
-/// stream under the given axis-key header.  writeCampaignCsv and the
-/// work-queue streaming writer share this, so both modes emit
-/// byte-identical rows for the same cell.
-void appendCellCsvRows(std::ostream& f, const CellResult& cell,
-                       const std::vector<std::string>& axisKeys);
 
 }  // namespace mcs

@@ -1,13 +1,5 @@
 #include "sweep/runner.h"
 
-#include <cstdio>
-#include <filesystem>
-
-#include "store/writer.h"
-#include "sweep/report.h"
-#include "telemetry/telemetry.h"
-#include "util/clock.h"
-
 namespace mcs {
 
 bool cellCacheMatches(const CellResult& cached, const SweepCell& cell) {
@@ -15,58 +7,6 @@ bool cellCacheMatches(const CellResult& cached, const SweepCell& cell) {
          cached.specFingerprint == scenarioToKeyValues(cell.spec) &&
          static_cast<int>(cached.batch.perSeed.size()) == cell.spec.seeds;
 }
-
-void recordCellTelemetry(const telemetry::MetricsSnapshot& delta, MetricMap& out) {
-  for (const telemetry::CounterSample& c : delta.counters) {
-    if (c.value != 0) out.set("tm." + c.name, static_cast<double>(c.value));
-  }
-  for (const telemetry::TimerSample& t : delta.timers) {
-    if (t.count == 0) continue;
-    out.set("tm." + t.name + ".sec", t.totalSec);
-    out.set("tm." + t.name + ".count", static_cast<double>(t.count));
-  }
-}
-
-namespace {
-
-/// Campaign progress heartbeat on stderr: cells done, throughput, ETA.
-/// Cells vary wildly in cost across a sweep axis, so the ETA is the
-/// honest kind — average-so-far extrapolated, not a promise.  Resume
-/// cache hits cost microseconds, so the throughput and ETA only count
-/// cells that actually ran; a resumed campaign no longer advertises a
-/// fantasy cells/s and an ETA of ~0 while real work remains.
-struct Heartbeat {
-  bool enabled = false;
-  std::string campaign;
-  int shardCells = 0;
-  double t0 = 0.0;
-  double lastEmit = 0.0;
-  int done = 0;
-  int cached = 0;
-
-  void cellDone(bool fromCache) {
-    ++done;
-    if (fromCache) ++cached;
-    if (!enabled) return;
-    const double now = nowSec();
-    if (done < shardCells && now - lastEmit < 0.5) return;
-    lastEmit = now;
-    const double elapsed = now - t0;
-    const int ran = done - cached;
-    const double rate = elapsed > 0.0 ? ran / elapsed : 0.0;
-    char eta[32];
-    if (rate > 0.0) {
-      std::snprintf(eta, sizeof eta, "%.0fs", (shardCells - done) / rate);
-    } else {
-      std::snprintf(eta, sizeof eta, "--");
-    }
-    std::fprintf(stderr, "[sweep %s] %d/%d cells (%d ran, %d cached) | %.2f cells/s | ETA %s\n",
-                 campaign.c_str(), done, shardCells, ran, cached, rate, eta);
-    std::fflush(stderr);
-  }
-};
-
-}  // namespace
 
 NamedStats cellStats(const CellResult& cell) {
   NamedStats out;
@@ -104,129 +44,6 @@ std::vector<std::pair<std::string, Summary>> CellResult::summaries() const {
 std::string cellFilePath(const std::string& outDir, const std::string& campaign,
                          int cellIndex) {
   return outDir + "/sweep_cells/" + campaign + "/cell_" + std::to_string(cellIndex) + ".json";
-}
-
-bool runCampaign(const SweepSpec& spec, const CampaignOptions& opts, CampaignResult& out,
-                 std::string& err) {
-  out = CampaignResult{};
-  out.name = spec.name;
-  out.baseName = spec.baseName;
-  out.description = describeSweep(spec);
-  out.shardIndex = opts.shardIndex;
-  out.shardCount = opts.shardCount;
-
-  std::vector<SweepCell> cells;
-  if (!expandSweep(spec, cells, err)) return false;
-  out.totalCells = static_cast<int>(cells.size());
-
-  static const telemetry::TimerId kCellTimer = telemetry::timerId("sweep.cell");
-
-  const double t0 = nowSec();
-  Heartbeat beat;
-  beat.enabled = opts.heartbeat;
-  beat.campaign = spec.name;
-  beat.t0 = t0;
-  for (const SweepCell& cell : cells) {
-    if (cellInShard(cell.index, opts.shardIndex, opts.shardCount)) ++beat.shardCells;
-  }
-
-  store::StoreWriter storeWriter;
-  if (!opts.storePath.empty()) {
-    store::StoreMeta meta;
-    meta.campaign = spec.name;
-    meta.base = spec.baseName;
-    meta.totalCells = out.totalCells;
-    meta.shardIndex = opts.shardIndex;
-    meta.shardCount = opts.shardCount;
-    meta.cellSlots = static_cast<std::size_t>(beat.shardCells);
-    meta.stripWall = opts.storeStripWall;
-    if (!storeWriter.open(opts.storePath, meta, err)) return false;
-  }
-  const auto appendStoreRow = [&](const CellResult& res, std::string& rowErr) {
-    if (!storeWriter.isOpen()) return true;
-    const NamedStats stats = cellStats(res);
-    store::StoreCellRow row;
-    row.cellIndex = res.cell.index;
-    row.label = res.cell.label;
-    row.assignments = res.cell.assignments;
-    row.seeds = res.cell.spec.seeds;
-    row.failures = res.batch.failures();
-    row.delivered = res.batch.deliveredCount();
-    row.valid = res.batch.validCount();
-    row.invalid = res.batch.invalidCount();
-    row.stats = &stats;
-    row.telemetry = &res.telemetry;
-    row.probes = &res.probes;
-    // Slot = position in shard order; out.cells grows in that order.
-    return storeWriter.appendCell(out.cells.size() - 1, row, rowErr);
-  };
-
-  for (SweepCell& cell : cells) {
-    if (!cellInShard(cell.index, opts.shardIndex, opts.shardCount)) continue;
-    const std::string path = cellFilePath(opts.outDir, spec.name, cell.index);
-
-    if (opts.resume && std::filesystem::exists(path)) {
-      CellResult cached;
-      std::string loadErr;
-      if (loadCellResult(path, cached, loadErr) && cellCacheMatches(cached, cell)) {
-        cached.cell = cell;  // trust the freshly expanded spec, not the file
-        cached.fromCache = true;
-        if (opts.onCell) opts.onCell(cell, true);
-        out.cells.push_back(std::move(cached));
-        std::string rowErr;
-        if (!appendStoreRow(out.cells.back(), rowErr)) {
-          err = "cell " + std::to_string(cell.index) + " store row: " + rowErr;
-          return false;
-        }
-        beat.cellDone(true);
-        continue;
-      }
-      // Stale or unreadable: fall through and re-run the cell.
-    }
-
-    if (opts.onCell) opts.onCell(cell, false);
-    CellResult res;
-    res.cell = cell;
-    // Cells run sequentially and seed batches join before returning, so a
-    // snapshot delta around the batch attributes engine counters to this
-    // cell exactly (when telemetry is enabled; free otherwise).
-    const bool withTelemetry = telemetry::enabled();
-    telemetry::MetricsSnapshot before;
-    if (withTelemetry) before = telemetry::snapshotMetrics();
-    // Probes have no snapshot-delta idiom (sketches don't subtract), so
-    // per-cell attribution is a reset/snapshot pair — sound because cells
-    // run serially here; only the seeds within a cell are concurrent, and
-    // probe folds commute.
-    const bool withProbes = telemetry::probesEnabled();
-    if (withProbes) telemetry::resetProbes();
-    {
-      const telemetry::PhaseTimer cellTimer(kCellTimer);
-      res.batch = runScenarioBatch(cell.spec, opts.threads);
-    }
-    if (withTelemetry) {
-      recordCellTelemetry(telemetry::snapshotMetrics().diff(before), res.telemetry);
-    }
-    if (withProbes) res.probes = telemetry::snapshotProbes();
-    if (opts.writeCellFiles) {
-      std::error_code ec;
-      std::filesystem::create_directories(std::filesystem::path(path).parent_path(), ec);
-      std::string writeErr;
-      if (!writeCellFile(res, path, writeErr)) {
-        err = "cell " + std::to_string(cell.index) + ": " + writeErr;
-        return false;
-      }
-    }
-    out.cells.push_back(std::move(res));
-    std::string rowErr;
-    if (!appendStoreRow(out.cells.back(), rowErr)) {
-      err = "cell " + std::to_string(cell.index) + " store row: " + rowErr;
-      return false;
-    }
-    beat.cellDone(false);
-  }
-  if (storeWriter.isOpen() && !storeWriter.finish(err)) return false;
-  out.wallSec = nowSec() - t0;
-  return true;
 }
 
 }  // namespace mcs

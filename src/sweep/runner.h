@@ -1,59 +1,23 @@
 #pragma once
 
-#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/runner.h"
 #include "sweep/expand.h"
 #include "telemetry/probes.h"
-#include "telemetry/telemetry.h"
 #include "util/sketch.h"
 
-/// The campaign runner: executes a sweep's cells as seed batches via
-/// runScenarioBatch, with deterministic sharding for CI matrices and
-/// resume-by-skipping for interrupted campaigns.
+/// Per-cell campaign results: the seed batch of one sweep cell, its
+/// statistics, and the per-cell JSON path that resume trusts.  Cells run
+/// through the campaign coordinator (campaign/coordinator.h), inline or in
+/// forked workers.
 namespace mcs {
-
-struct CampaignOptions {
-  /// ThreadPool lanes per cell batch (<= 1: sequential seeds).
-  int threads = 1;
-  /// Shard of the cell grid to run (cellInShard); 0/1 = everything.
-  int shardIndex = 0;
-  int shardCount = 1;
-  /// Skip cells whose per-cell JSON already exists under `outDir` and
-  /// still matches the cell (same label / seed batch); mismatched or
-  /// unreadable files are re-run.  Off by default: a fresh campaign
-  /// overwrites stale cell files instead of trusting them.
-  bool resume = false;
-  /// Root for per-cell JSONs (`<outDir>/sweep_cells/<campaign>/cell_<i>.json`).
-  std::string outDir = ".";
-  /// Write per-cell JSONs as cells finish (the resume substrate; also
-  /// what a crashed campaign leaves behind).  Tests turn this off.
-  bool writeCellFiles = true;
-  /// Emit a progress heartbeat on stderr after cells finish (cells done /
-  /// cells-per-sec / ETA), throttled to roughly twice a second.  The CLIs
-  /// turn this on; library callers and tests default off.
-  bool heartbeat = false;
-  /// Progress hook, called before each cell runs or is skipped.
-  std::function<void(const SweepCell&, bool cached)> onCell;
-  /// When non-empty, stream every finished (or resumed) cell into the
-  /// columnar campaign store at this path (store/writer.h): one row per
-  /// cell, written as cells complete, atomically renamed into place at
-  /// the end.  Empty = no store.
-  std::string storePath;
-  /// Zero the wall_sec stats/sketch in store rows (the count survives):
-  /// wall time is the single nondeterministic field, so stripping it
-  /// makes the store byte-identical across runs and worker counts — the
-  /// same canonicalization stripWallTimes applies to report JSON.
-  bool storeStripWall = false;
-};
 
 /// One executed (or resumed) cell: the cell plus its seed batch.
 struct CellResult {
   SweepCell cell;
-  /// True when the batch was loaded from a per-cell JSON, not re-run.
-  bool fromCache = false;
   /// The cell file's stored scenarioToKeyValues fingerprint (set by
   /// loadCellResult); resume only trusts a file whose fingerprint matches
   /// the freshly expanded cell exactly.
@@ -86,50 +50,14 @@ struct CellResult {
 /// renders it, the campaign workers serialize it, the store writes it.
 [[nodiscard]] NamedStats cellStats(const CellResult& cell);
 
-/// A campaign run: the shard's cells, in expansion order.
-struct CampaignResult {
-  std::string name;
-  std::string baseName;
-  std::string description;  // describeSweep at run time
-  int totalCells = 0;       // full grid, not just this shard
-  int shardIndex = 0;
-  int shardCount = 1;
-  std::vector<CellResult> cells;
-  double wallSec = 0.0;
-
-  [[nodiscard]] int failures() const noexcept {
-    int f = 0;
-    for (const CellResult& c : cells) f += c.batch.failures();
-    return f;
-  }
-  [[nodiscard]] int cachedCells() const noexcept {
-    int n = 0;
-    for (const CellResult& c : cells) n += c.fromCache ? 1 : 0;
-    return n;
-  }
-};
-
-/// The per-cell JSON path used by resume and by writeCellFiles.
+/// The per-cell JSON path: where cells are written and resume looks.
 [[nodiscard]] std::string cellFilePath(const std::string& outDir, const std::string& campaign,
                                        int cellIndex);
 
 /// Whether a loaded per-cell JSON is trustworthy as a cache of `cell`:
 /// same label, same complete spec fingerprint (any base/fixed-key/axis
-/// edit changes it), complete seed batch.  Shared by --resume here and by
-/// the campaign coordinator's pre-lease cache pass.
+/// edit changes it), complete seed batch.  The campaign coordinator's
+/// pre-lease resume pass.
 [[nodiscard]] bool cellCacheMatches(const CellResult& cached, const SweepCell& cell);
-
-/// Flattens a telemetry snapshot delta into `out` under a "tm." prefix
-/// (counters as totals, timers as ".sec"/".count" pairs) — the per-cell
-/// telemetry attribution used by both the in-process runner and the
-/// campaign workers.
-void recordCellTelemetry(const telemetry::MetricsSnapshot& delta, MetricMap& out);
-
-/// Expands and runs the campaign (this shard's cells only).  Returns
-/// false on expansion errors or unwritable cell files; per-seed failures
-/// do NOT fail the run — they are recorded in the batch (check
-/// CampaignResult::failures()).
-bool runCampaign(const SweepSpec& spec, const CampaignOptions& opts, CampaignResult& out,
-                 std::string& err);
 
 }  // namespace mcs

@@ -29,8 +29,8 @@
 /// once per slot — so probe output is deterministic per seed and
 /// invariant to thread count, worker count, and merge order, exactly like
 /// the counter registry.  Per-cell capture uses resetProbes() before the
-/// cell and snapshotProbes() after it (cells run serially in both the
-/// in-process runner and each campaign worker); sketches cannot be
+/// cell and snapshotProbes() after it (cells run serially per process,
+/// inline or in a forked campaign worker); sketches cannot be
 /// diffed like counters, so there is no snapshot-delta idiom here.
 namespace mcs::telemetry {
 
@@ -87,8 +87,8 @@ void resetProbes();
 
 /// JSON round-trip for cell files, RESULT frames, and campaign reports:
 /// {"margin_db": <sketch>, "near_db": <sketch>, "far_db": <sketch>,
-///  "series": {"span": s, "windows": [...]}} — lossless, so worker-written
-/// cell files reproduce the in-process runner's probe bytes exactly.
+///  "series": {"span": s, "windows": [...]}} — lossless, so cell files
+/// and RESULT frames carry a cell's probe bytes exactly.
 [[nodiscard]] Json probesToJson(const ProbeState& p);
 [[nodiscard]] ProbeState probesFromJson(const Json& j);
 

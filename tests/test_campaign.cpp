@@ -16,8 +16,10 @@
 #include "campaign/protocol.h"
 #include "campaign/reduce.h"
 #include "campaign/report.h"
+#include "campaign/worker.h"
 #include "store/reader.h"
 #include "sweep/check.h"
+#include "sweep/expand.h"
 #include "sweep/report.h"
 #include "sweep/runner.h"
 #include "sweep/spec.h"
@@ -25,11 +27,12 @@
 #include "util/json.h"
 #include "util/stats.h"
 
-// The multi-process campaign coordinator: wire framing, the frame
-// vocabulary, cross-process moment transport, the fixed-shape tree
-// reduction, and the headline contracts — work-queue cell files and
-// reports byte-identical to the in-process runner (wall times aside),
-// and worker-death requeues that leave no trace in the output.
+// The campaign coordinator: wire framing, the frame vocabulary,
+// cross-process moment transport, the fixed-shape tree reduction, and the
+// headline contracts — cell files, reports and stores byte-identical
+// between the inline and forked executors (wall times aside), resume
+// across executors, and worker-death requeues that leave no trace in the
+// output.
 namespace mcs {
 namespace campaign {
 namespace {
@@ -120,10 +123,10 @@ TEST(CampaignProtocol, MomentsCarryTheFullAccumulatorState) {
   StreamingStats b;
   for (const double x : {0.5, 100.0}) b.add(x);
 
-  MetricStats stats;
+  NamedStats stats;
   stats.emplace_back("alpha", a);
   stats.emplace_back("beta", b);
-  const MetricStats back = momentsFromJson(momentsToJson(stats));
+  const NamedStats back = momentsFromJson(momentsToJson(stats));
   ASSERT_EQ(back.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(back[i].first, stats[i].first);
@@ -150,18 +153,18 @@ TEST(CampaignProtocol, MomentsCarryTheFullAccumulatorState) {
 
 // --------------------------------------------------------------- reducer
 
-MetricStats leafStats(std::size_t i) {
+NamedStats leafStats(std::size_t i) {
   StreamingStats s;
   // Values chosen so merge order matters in the last float bits if the
   // tree shape were not fixed.
   s.add(1.0 + 1e-9 * static_cast<double>(i));
   s.add(3.0 / (1.0 + static_cast<double>(i)));
-  MetricStats m;
+  NamedStats m;
   m.emplace_back("metric", s);
   return m;
 }
 
-MetricStats reduceInOrder(std::size_t n, const std::vector<std::size_t>& order) {
+NamedStats reduceInOrder(std::size_t n, const std::vector<std::size_t>& order) {
   TreeReducer r(n);
   for (const std::size_t i : order) r.addLeaf(i, leafStats(i));
   EXPECT_TRUE(r.complete());
@@ -172,12 +175,12 @@ TEST(TreeReducer, RootIsBitIdenticalAcrossArrivalOrders) {
   for (const std::size_t n : {1u, 2u, 3u, 7u, 8u, 13u}) {
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), 0u);
-    const MetricStats forward = reduceInOrder(n, order);
+    const NamedStats forward = reduceInOrder(n, order);
     ASSERT_EQ(forward.size(), 1u);
     EXPECT_EQ(forward[0].second.moments.count(), 2 * n);
 
     std::reverse(order.begin(), order.end());
-    MetricStats other = reduceInOrder(n, order);
+    NamedStats other = reduceInOrder(n, order);
     EXPECT_EQ(other[0].second.moments.mean(), forward[0].second.moments.mean())
         << "n=" << n << " reversed";
     EXPECT_EQ(other[0].second.moments.m2(), forward[0].second.moments.m2());
@@ -230,15 +233,15 @@ TEST(TreeReducer, MetricNameUnionAcrossLeaves) {
   TreeReducer r(2);
   StreamingStats onlyLeft;
   onlyLeft.add(5.0);
-  MetricStats leftLeaf;
+  NamedStats leftLeaf;
   leftLeaf.emplace_back("shared", leafStats(0)[0].second);
   leftLeaf.emplace_back("left_only", onlyLeft);
-  MetricStats rightLeaf;
+  NamedStats rightLeaf;
   rightLeaf.emplace_back("shared", leafStats(1)[0].second);
   r.addLeaf(0, leftLeaf);
   r.addLeaf(1, rightLeaf);
   ASSERT_TRUE(r.complete());
-  const MetricStats& root = r.root();
+  const NamedStats& root = r.root();
   ASSERT_EQ(root.size(), 2u);
   EXPECT_EQ(root[0].first, "left_only");
   EXPECT_EQ(root[0].second.moments.count(), 1u);
@@ -284,13 +287,17 @@ TEST(WorkQueue, MatchesInProcessRunByteForByte) {
   const SweepSpec spec = tinySweep("wq_parity");
   std::string err;
 
-  // Reference: the in-process single-threaded runner.
-  CampaignOptions inproc;
-  inproc.outDir = dir + "/inproc";
-  CampaignResult ref;
-  ASSERT_TRUE(runCampaign(spec, inproc, ref, err)) << err;
+  // Reference: the inline executor (cells run in this process).
+  WorkQueueOptions inlineOpts;
+  inlineOpts.outDir = dir + "/inline";
+  WorkQueueCampaign ref;
+  ASSERT_TRUE(runCampaignWorkQueue(spec, inlineOpts, ref, err)) << err;
+  EXPECT_EQ(ref.leases, 3u);
+  EXPECT_EQ(ref.workerDeaths, 0u);
   std::string refReport;
-  ASSERT_TRUE(writeCampaignReport(ref, inproc.outDir, refReport, err)) << err;
+  ASSERT_TRUE(
+      writeWorkQueueCampaignReport(ref, inlineOpts.outDir, inlineOpts.outDir, refReport, err))
+      << err;
 
   // Candidate: two forked workers over the lease protocol.
   WorkQueueOptions wq;
@@ -308,19 +315,19 @@ TEST(WorkQueue, MatchesInProcessRunByteForByte) {
 
   // Per-cell files: byte-identical after wall-time canonicalization.
   for (const CellRecord& rec : run.cells) {
-    const std::string refCell = cellFilePath(inproc.outDir, spec.name, rec.cell.index);
+    const std::string refCell = cellFilePath(inlineOpts.outDir, spec.name, rec.cell.index);
     const std::string wqCell = cellFilePath(wq.outDir, spec.name, rec.cell.index);
     EXPECT_EQ(canonicalJsonBytes(wqCell), canonicalJsonBytes(refCell))
         << "cell " << rec.cell.index;
   }
 
-  // Whole spliced report vs the in-process writer, same canonicalization.
+  // Whole spliced report, same canonicalization.
   EXPECT_EQ(canonicalJsonBytes(wqReport), canonicalJsonBytes(refReport));
 
   // CSVs too, modulo the wall_sec rows (drop them on both sides).
   const std::string refCsv = dir + "/ref.csv";
   const std::string wqCsv = dir + "/wq.csv";
-  ASSERT_TRUE(writeCampaignCsv(ref, refCsv, err)) << err;
+  ASSERT_TRUE(writeWorkQueueCampaignCsv(ref, inlineOpts.outDir, refCsv, err)) << err;
   ASSERT_TRUE(writeWorkQueueCampaignCsv(run, wq.outDir, wqCsv, err)) << err;
   auto withoutWallRows = [](const std::string& csv) {
     std::istringstream in(csv);
@@ -332,41 +339,46 @@ TEST(WorkQueue, MatchesInProcessRunByteForByte) {
   };
   EXPECT_EQ(withoutWallRows(readFile(wqCsv)), withoutWallRows(readFile(refCsv)));
 
-  // The tree-reduced aggregate matches a direct per-seed accumulation.
-  ASSERT_FALSE(run.reduction.empty());
-  const auto slots = std::find_if(run.reduction.begin(), run.reduction.end(),
-                                  [](const auto& kv) { return kv.first == "slots"; });
-  ASSERT_NE(slots, run.reduction.end());
+  // Both reductions match a direct per-seed accumulation over the cell
+  // files, exactly.
   OnlineStats expectSlots;
-  for (const CellResult& cell : ref.cells) {
+  for (const CellRecord& rec : ref.cells) {
+    CellResult cell;
+    ASSERT_TRUE(loadCellResult(cellFilePath(inlineOpts.outDir, spec.name, rec.cell.index), cell,
+                               err))
+        << err;
     for (const SeedResult& r : cell.batch.perSeed) {
       if (r.error.empty()) expectSlots.add(static_cast<double>(r.slots));
     }
   }
-  EXPECT_EQ(slots->second.moments.count(), expectSlots.count());
-  EXPECT_EQ(slots->second.moments.sum(), expectSlots.sum());
-  EXPECT_EQ(slots->second.moments.min(), expectSlots.min());
-  EXPECT_EQ(slots->second.moments.max(), expectSlots.max());
+  for (const WorkQueueCampaign* c : {&ref, &run}) {
+    const auto slots = std::find_if(c->reduction.begin(), c->reduction.end(),
+                                    [](const auto& kv) { return kv.first == "slots"; });
+    ASSERT_NE(slots, c->reduction.end());
+    EXPECT_EQ(slots->second.moments.count(), expectSlots.count());
+    EXPECT_EQ(slots->second.moments.sum(), expectSlots.sum());
+    EXPECT_EQ(slots->second.moments.min(), expectSlots.min());
+    EXPECT_EQ(slots->second.moments.max(), expectSlots.max());
+  }
 }
 
 TEST(WorkQueue, StoreMatchesInProcessByteForByte) {
   // The columnar store is positional (rows land by slot, blobs are
   // reordered canonically at finish), so with wall times stripped the
   // 4-worker store must be the same FILE — not just the same data — as
-  // the in-process one.
+  // the inline one.
   const std::string dir = testing::TempDir() + "wq_store";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const SweepSpec spec = tinySweep("wq_store");
   std::string err;
 
-  CampaignOptions inproc;
-  inproc.outDir = dir + "/inproc";
-  inproc.writeCellFiles = false;
-  inproc.storePath = dir + "/inproc.store";
-  inproc.storeStripWall = true;
-  CampaignResult ref;
-  ASSERT_TRUE(runCampaign(spec, inproc, ref, err)) << err;
+  WorkQueueOptions inlineOpts;
+  inlineOpts.outDir = dir + "/inline";
+  inlineOpts.storePath = dir + "/inline.store";
+  inlineOpts.storeStripWall = true;
+  WorkQueueCampaign ref;
+  ASSERT_TRUE(runCampaignWorkQueue(spec, inlineOpts, ref, err)) << err;
 
   WorkQueueOptions wq;
   wq.workers = 4;
@@ -376,7 +388,7 @@ TEST(WorkQueue, StoreMatchesInProcessByteForByte) {
   WorkQueueCampaign run;
   ASSERT_TRUE(runCampaignWorkQueue(spec, wq, run, err)) << err;
 
-  const std::string refBytes = readFile(inproc.storePath);
+  const std::string refBytes = readFile(inlineOpts.storePath);
   const std::string wqBytes = readFile(wq.storePath);
   ASSERT_FALSE(refBytes.empty());
   EXPECT_EQ(wqBytes, refBytes);
@@ -388,6 +400,54 @@ TEST(WorkQueue, StoreMatchesInProcessByteForByte) {
   EXPECT_EQ(reader.campaignName(), "wq_store");
   EXPECT_NE(reader.metricIndex("slots"), -1);
   EXPECT_NE(reader.axisIndex("channels"), -1);
+}
+
+TEST(WorkQueue, CrossModeResumeLoadsInlineCellsWithoutLeasing) {
+  // Cell files are the same whichever executor wrote them, so a campaign
+  // started inline can be resumed with forked workers over the same
+  // outDir: every cell comes from cache, nothing is leased, and the
+  // reduction is identical.
+  const std::string dir = testing::TempDir() + "wq_cross_resume";
+  std::filesystem::remove_all(dir);
+  const SweepSpec spec = tinySweep("wq_cross_resume");
+  std::string err;
+
+  WorkQueueOptions opts;
+  opts.outDir = dir;
+  WorkQueueCampaign first;
+  ASSERT_TRUE(runCampaignWorkQueue(spec, opts, first, err)) << err;
+  EXPECT_EQ(first.leases, 3u);
+
+  opts.workers = 2;
+  opts.resume = true;
+  WorkQueueCampaign second;
+  ASSERT_TRUE(runCampaignWorkQueue(spec, opts, second, err)) << err;
+  EXPECT_EQ(second.cachedCells(), 3);
+  EXPECT_EQ(second.leases, 0u);
+  EXPECT_EQ(second.workerDeaths, 0u);
+  ASSERT_FALSE(second.reduction.empty());
+  EXPECT_EQ(momentsToJson(second.reduction).dump(), momentsToJson(first.reduction).dump());
+}
+
+TEST(CampaignWorker, OutOfRangeLeaseExitsWithCode3) {
+  // A LEASE addresses the expansion by index; one outside it is a protocol
+  // error the worker answers with exit code 3 (no cell runs, no ack).
+  std::vector<SweepCell> cells;
+  std::string err;
+  ASSERT_TRUE(expandSweep(tinySweep("wq_bad_lease"), cells, err)) << err;
+  for (const int index : {static_cast<int>(cells.size()), -1}) {
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    Frame lease = makeFrame(FrameType::Lease);
+    lease.body.set("cell", index);
+    ASSERT_TRUE(writeFrame(fds[0], encodeFrame(lease), err)) << err;
+    WorkerConfig cfg;
+    cfg.campaign = "wq_bad_lease";
+    cfg.outDir = testing::TempDir() + "wq_bad_lease";
+    EXPECT_EQ(campaignWorkerMain(fds[1], cells, cfg), 3) << "index " << index;
+    close(fds[0]);
+    close(fds[1]);
+  }
 }
 
 TEST(WorkQueue, ResumeLoadsEveryCellFromCacheWithoutLeasing) {

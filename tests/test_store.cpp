@@ -170,8 +170,8 @@ TEST(Store, RoundTripsEveryColumnAndBlob) {
 }
 
 TEST(Store, BytesDoNotDependOnWriteOrder) {
-  // The coordinator appends rows in worker-arrival order; the in-process
-  // runner appends in slot order.  Both must produce the same file —
+  // Forked workers append rows in arrival order; the inline executor
+  // appends in slot order.  Both must produce the same file —
   // this is the property the CI worker-parity gate (cmp) leans on, and
   // it exercises the canonical string re-pool: different write orders
   // intern labels/axis values/telemetry names in different orders.

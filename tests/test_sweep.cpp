@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "campaign/coordinator.h"
+#include "campaign/report.h"
 #include "scenario/registry.h"
 #include "sweep/check.h"
 #include "sweep/expand.h"
@@ -253,24 +255,56 @@ void expectSeedResultsEqual(const SeedResult& a, const SeedResult& b) {
   EXPECT_EQ(a.error, b.error);
 }
 
+/// Runs `spec` inline (no forked workers) into `dir`.
+campaign::WorkQueueCampaign runInline(const SweepSpec& spec, const std::string& dir,
+                                      campaign::WorkQueueOptions opts = {}) {
+  opts.outDir = dir;
+  campaign::WorkQueueCampaign run;
+  std::string err;
+  EXPECT_TRUE(campaign::runCampaignWorkQueue(spec, opts, run, err)) << err;
+  return run;
+}
+
+/// The per-seed rows of a campaign's cells, read back from its cell files.
+std::vector<CellResult> loadCells(const campaign::WorkQueueCampaign& run, const std::string& dir) {
+  std::vector<CellResult> out(run.cells.size());
+  for (std::size_t i = 0; i < run.cells.size(); ++i) {
+    std::string err;
+    EXPECT_TRUE(loadCellResult(cellFilePath(dir, run.name, run.cells[i].cell.index), out[i], err))
+        << err;
+  }
+  return out;
+}
+
+void expectSameSeedRows(const std::vector<CellResult>& a, const std::vector<CellResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].batch.perSeed.size(), b[i].batch.perSeed.size()) << "cell " << i;
+    for (std::size_t s = 0; s < a[i].batch.perSeed.size(); ++s) {
+      expectSeedResultsEqual(a[i].batch.perSeed[s], b[i].batch.perSeed[s]);
+    }
+  }
+}
+
 TEST(CampaignRunner, ShardsReproduceTheFullCampaign) {
   const SweepSpec spec = tinySweep();
-  CampaignOptions opts;
-  opts.writeCellFiles = false;
-  CampaignResult full;
-  std::string err;
-  ASSERT_TRUE(runCampaign(spec, opts, full, err)) << err;
+  const std::string dir = testing::TempDir() + "sweep_shards";
+  std::filesystem::remove_all(dir);
+  const campaign::WorkQueueCampaign full = runInline(spec, dir + "/full");
   ASSERT_EQ(full.cells.size(), 3u);
+  const std::vector<CellResult> fullCells = loadCells(full, dir + "/full");
 
   std::vector<const CellResult*> merged(3, nullptr);
-  CampaignResult shards[2];
+  std::vector<CellResult> shardCells[2];
   for (int s = 0; s < 2; ++s) {
-    CampaignOptions shardOpts = opts;
+    campaign::WorkQueueOptions shardOpts;
     shardOpts.shardIndex = s;
     shardOpts.shardCount = 2;
-    ASSERT_TRUE(runCampaign(spec, shardOpts, shards[s], err)) << err;
-    EXPECT_EQ(shards[s].totalCells, 3);
-    for (const CellResult& cell : shards[s].cells) {
+    const std::string shardDir = dir + "/shard" + std::to_string(s);
+    const campaign::WorkQueueCampaign shard = runInline(spec, shardDir, shardOpts);
+    EXPECT_EQ(shard.totalCells, 3);
+    shardCells[s] = loadCells(shard, shardDir);
+    for (const CellResult& cell : shardCells[s]) {
       ASSERT_LT(static_cast<std::size_t>(cell.cell.index), merged.size());
       EXPECT_EQ(merged[static_cast<std::size_t>(cell.cell.index)], nullptr)
           << "cell owned by two shards";
@@ -280,53 +314,48 @@ TEST(CampaignRunner, ShardsReproduceTheFullCampaign) {
   // Together the shards cover exactly the full grid, bit-identical per cell.
   for (std::size_t i = 0; i < merged.size(); ++i) {
     ASSERT_NE(merged[i], nullptr) << "cell " << i << " unowned";
-    EXPECT_EQ(merged[i]->cell.label, full.cells[i].cell.label);
-    ASSERT_EQ(merged[i]->batch.perSeed.size(), full.cells[i].batch.perSeed.size());
-    for (std::size_t s = 0; s < full.cells[i].batch.perSeed.size(); ++s) {
-      expectSeedResultsEqual(merged[i]->batch.perSeed[s], full.cells[i].batch.perSeed[s]);
+    EXPECT_EQ(merged[i]->cell.label, fullCells[i].cell.label);
+    ASSERT_EQ(merged[i]->batch.perSeed.size(), fullCells[i].batch.perSeed.size());
+    for (std::size_t s = 0; s < fullCells[i].batch.perSeed.size(); ++s) {
+      expectSeedResultsEqual(merged[i]->batch.perSeed[s], fullCells[i].batch.perSeed[s]);
     }
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignRunner, ResumeSkipsExistingCells) {
   const SweepSpec spec = tinySweep();
   const std::string dir = testing::TempDir() + "sweep_resume";
   std::filesystem::remove_all(dir);
-  CampaignOptions opts;
-  opts.outDir = dir;
-  CampaignResult first;
-  std::string err;
-  ASSERT_TRUE(runCampaign(spec, opts, first, err)) << err;
+  const campaign::WorkQueueCampaign first = runInline(spec, dir);
   EXPECT_EQ(first.cachedCells(), 0);
+  EXPECT_EQ(first.leases, 3u);
 
+  campaign::WorkQueueOptions opts;
   opts.resume = true;
-  CampaignResult second;
-  ASSERT_TRUE(runCampaign(spec, opts, second, err)) << err;
+  const campaign::WorkQueueCampaign second = runInline(spec, dir, opts);
   EXPECT_EQ(second.cachedCells(), 3);
+  EXPECT_EQ(second.leases, 0u);
+  // The cached records carry the numbers the run produced.
+  ASSERT_EQ(second.cells.size(), first.cells.size());
   for (std::size_t i = 0; i < first.cells.size(); ++i) {
-    ASSERT_EQ(second.cells[i].batch.perSeed.size(), first.cells[i].batch.perSeed.size());
-    for (std::size_t s = 0; s < first.cells[i].batch.perSeed.size(); ++s) {
-      const SeedResult& a = first.cells[i].batch.perSeed[s];
-      const SeedResult& b = second.cells[i].batch.perSeed[s];
-      EXPECT_EQ(a.slots, b.slots);
-      EXPECT_EQ(a.metrics, b.metrics);
-    }
+    EXPECT_EQ(second.cells[i].failures, first.cells[i].failures);
+    EXPECT_EQ(second.cells[i].delivered, first.cells[i].delivered);
+    EXPECT_EQ(second.cells[i].slotsMean, first.cells[i].slotsMean);
+    EXPECT_EQ(second.cells[i].decodeRateMean, first.cells[i].decodeRateMean);
   }
 
   // A stale cell file must be re-run, not trusted: a different seed
   // batch, but also any fixed scenario key the label doesn't show (the
   // stored spec fingerprint catches both).
+  std::string err;
   SweepSpec changed = tinySweep();
   ASSERT_TRUE(applySweepOverride(changed, "seed0", "7", err)) << err;
-  CampaignResult third;
-  ASSERT_TRUE(runCampaign(changed, opts, third, err)) << err;
-  EXPECT_EQ(third.cachedCells(), 0);
+  EXPECT_EQ(runInline(changed, dir, opts).cachedCells(), 0);
 
   SweepSpec resized = tinySweep();
   ASSERT_TRUE(applySweepOverride(resized, "n", "80", err)) << err;
-  CampaignResult fourth;
-  ASSERT_TRUE(runCampaign(resized, opts, fourth, err)) << err;
-  EXPECT_EQ(fourth.cachedCells(), 0);
+  EXPECT_EQ(runInline(resized, dir, opts).cachedCells(), 0);
   std::filesystem::remove_all(dir);
 }
 
@@ -334,11 +363,8 @@ TEST(CampaignRunner, ResumeRerunsCorruptCellFilesAndLeavesNoTempFiles) {
   const SweepSpec spec = tinySweep();
   const std::string dir = testing::TempDir() + "sweep_resume_corrupt";
   std::filesystem::remove_all(dir);
-  CampaignOptions opts;
-  opts.outDir = dir;
-  CampaignResult first;
-  std::string err;
-  ASSERT_TRUE(runCampaign(spec, opts, first, err)) << err;
+  const campaign::WorkQueueCampaign first = runInline(spec, dir);
+  const std::vector<CellResult> firstCells = loadCells(first, dir);
 
   // The atomic tmp+rename write must leave no *.tmp droppings behind.
   for (const auto& entry : std::filesystem::recursive_directory_iterator(dir)) {
@@ -366,44 +392,40 @@ TEST(CampaignRunner, ResumeRerunsCorruptCellFilesAndLeavesNoTempFiles) {
     f << "not json at all";
   }
 
+  campaign::WorkQueueOptions opts;
   opts.resume = true;
-  CampaignResult second;
-  ASSERT_TRUE(runCampaign(spec, opts, second, err)) << err;
+  const campaign::WorkQueueCampaign second = runInline(spec, dir, opts);
   EXPECT_EQ(second.cachedCells(), 1);
+  EXPECT_EQ(second.leases, 2u);
   EXPECT_FALSE(second.cells[0].fromCache);
   EXPECT_TRUE(second.cells[1].fromCache);
   EXPECT_FALSE(second.cells[2].fromCache);
   // The re-run repaired the files in place.
-  CellResult repaired;
-  EXPECT_TRUE(loadCellResult(cell0, repaired, err)) << err;
-  EXPECT_TRUE(loadCellResult(cell2, repaired, err)) << err;
-  for (std::size_t i = 0; i < first.cells.size(); ++i) {
-    ASSERT_EQ(second.cells[i].batch.perSeed.size(), first.cells[i].batch.perSeed.size());
-    for (std::size_t s = 0; s < first.cells[i].batch.perSeed.size(); ++s) {
-      expectSeedResultsEqual(second.cells[i].batch.perSeed[s], first.cells[i].batch.perSeed[s]);
-    }
-  }
+  expectSameSeedRows(loadCells(second, dir), firstCells);
   std::filesystem::remove_all(dir);
 }
 
 TEST(SweepReport, CellJsonRoundTrip) {
   const SweepSpec spec = tinySweep();
-  CampaignOptions opts;
-  opts.writeCellFiles = false;
-  CampaignResult campaign;
+  std::vector<SweepCell> cells;
   std::string err;
-  ASSERT_TRUE(runCampaign(spec, opts, campaign, err)) << err;
+  ASSERT_TRUE(expandSweep(spec, cells, err)) << err;
+  ASSERT_EQ(cells.size(), 3u);
+  CellResult cell;
+  cell.cell = cells[1];
+  cell.batch = runScenarioBatch(cells[1].spec, 1);
 
   const std::string path = testing::TempDir() + "cell_roundtrip.json";
-  ASSERT_TRUE(writeCellFile(campaign.cells[1], path, err)) << err;
+  ASSERT_TRUE(writeCellFile(cell, path, err)) << err;
   CellResult loaded;
   ASSERT_TRUE(loadCellResult(path, loaded, err)) << err;
   EXPECT_EQ(loaded.cell.index, 1);
-  EXPECT_EQ(loaded.cell.label, campaign.cells[1].cell.label);
-  EXPECT_EQ(loaded.cell.assignments, campaign.cells[1].cell.assignments);
-  ASSERT_EQ(loaded.batch.perSeed.size(), campaign.cells[1].batch.perSeed.size());
+  EXPECT_EQ(loaded.cell.label, cell.cell.label);
+  EXPECT_EQ(loaded.cell.assignments, cell.cell.assignments);
+  EXPECT_TRUE(cellCacheMatches(loaded, cells[1]));
+  ASSERT_EQ(loaded.batch.perSeed.size(), cell.batch.perSeed.size());
   for (std::size_t s = 0; s < loaded.batch.perSeed.size(); ++s) {
-    const SeedResult& a = campaign.cells[1].batch.perSeed[s];
+    const SeedResult& a = cell.batch.perSeed[s];
     const SeedResult& b = loaded.batch.perSeed[s];
     EXPECT_EQ(a.seed, b.seed);
     EXPECT_EQ(a.slots, b.slots);
@@ -414,15 +436,20 @@ TEST(SweepReport, CellJsonRoundTrip) {
   std::filesystem::remove(path);
 }
 
-/// A synthetic two-cell campaign with fixed numbers (no real runs), used
-/// by the golden-layout and sweep_check tests.
-CampaignResult syntheticCampaign(double wallScale = 1.0, double slotScale = 1.0) {
-  CampaignResult campaign;
+/// A synthetic campaign with fixed numbers (no real runs), used by the
+/// golden-layout and sweep_check tests: its cells are written as cell
+/// files under `dir` with writeCellFile, and the returned records are
+/// what the coordinator would hold for them.
+campaign::WorkQueueCampaign syntheticCampaign(const std::string& dir, double wallScale = 1.0,
+                                              double slotScale = 1.0) {
+  campaign::WorkQueueCampaign campaign;
   campaign.name = "golden";
   campaign.baseName = "uniform_square";
   campaign.description = "golden: base=uniform_square channels[2]";
   campaign.totalCells = 2;
   campaign.wallSec = 0.25 * wallScale;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/sweep_cells/golden");
   for (int c = 0; c < 2; ++c) {
     CellResult cell;
     cell.cell.index = c;
@@ -450,9 +477,32 @@ CampaignResult syntheticCampaign(double wallScale = 1.0, double slotScale = 1.0)
       r.wallSec = (0.1 + 0.01 * s) * wallScale;
       cell.batch.perSeed.push_back(std::move(r));
     }
-    campaign.cells.push_back(std::move(cell));
+    std::string err;
+    EXPECT_TRUE(writeCellFile(cell, cellFilePath(dir, campaign.name, c), err)) << err;
+    campaign::CellRecord rec;
+    rec.cell = cell.cell;
+    rec.failures = cell.batch.failures();
+    rec.delivered = cell.batch.deliveredCount();
+    rec.valid = cell.batch.validCount();
+    rec.invalid = cell.batch.invalidCount();
+    campaign.cells.push_back(std::move(rec));
   }
   return campaign;
+}
+
+/// The campaign report the one writer splices for `campaign`, parsed.
+Json reportJson(const campaign::WorkQueueCampaign& campaign, const std::string& dir) {
+  std::string path, err;
+  EXPECT_TRUE(campaign::writeWorkQueueCampaignReport(campaign, dir, dir, path, err)) << err;
+  Json j;
+  EXPECT_TRUE(Json::parseFile(path, j, err)) << err;
+  return j;
+}
+
+/// The synthetic campaign's report, in its own directory per `tag`.
+Json syntheticReport(const std::string& tag, double wallScale = 1.0, double slotScale = 1.0) {
+  const std::string dir = testing::TempDir() + "synthetic_" + tag;
+  return reportJson(syntheticCampaign(dir, wallScale, slotScale), dir);
 }
 
 std::string readFile(const std::string& path) {
@@ -464,24 +514,26 @@ std::string readFile(const std::string& path) {
 }
 
 TEST(SweepReport, GoldenJsonAndCsvLayout) {
-  const CampaignResult campaign = syntheticCampaign();
-  const std::string json = campaignToJson(campaign).dump() + "\n";
-  EXPECT_EQ(json, readFile(std::string(MCS_SOURCE_DIR) + "/tests/golden/campaign.json"))
+  const std::string dir = testing::TempDir() + "golden_campaign";
+  const campaign::WorkQueueCampaign campaign = syntheticCampaign(dir);
+  std::string jsonPath, err;
+  ASSERT_TRUE(campaign::writeWorkQueueCampaignReport(campaign, dir, dir, jsonPath, err)) << err;
+  EXPECT_EQ(readFile(jsonPath),
+            readFile(std::string(MCS_SOURCE_DIR) + "/tests/golden/campaign.json"))
       << "campaign JSON layout changed: refresh tests/golden/campaign.json AND the "
          "committed sweeps/baseline.json (see sweeps/smoke.sweep)";
 
-  const std::string csvPath = testing::TempDir() + "golden_campaign.csv";
-  std::string err;
-  ASSERT_TRUE(writeCampaignCsv(campaign, csvPath, err)) << err;
+  const std::string csvPath = dir + "/golden_campaign.csv";
+  ASSERT_TRUE(campaign::writeWorkQueueCampaignCsv(campaign, dir, csvPath, err)) << err;
   EXPECT_EQ(readFile(csvPath),
             readFile(std::string(MCS_SOURCE_DIR) + "/tests/golden/campaign.csv"))
       << "campaign CSV layout changed: refresh tests/golden/campaign.csv";
-  std::filesystem::remove(csvPath);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SweepCheck, PassesOnIdenticalCampaigns) {
-  const Json a = campaignToJson(syntheticCampaign());
-  const Json b = campaignToJson(syntheticCampaign());
+  const Json a = syntheticReport("a");
+  const Json b = syntheticReport("b");
   const SweepCheckResult r = compareCampaigns(a, b, SweepCheckOptions{});
   EXPECT_TRUE(r.ok()) << (r.violations.empty() ? "" : r.violations[0]);
   EXPECT_EQ(r.cellsCompared, 2);
@@ -489,9 +541,9 @@ TEST(SweepCheck, PassesOnIdenticalCampaigns) {
 }
 
 TEST(SweepCheck, FailsOnInjectedWallTimeRegression) {
-  const Json baseline = campaignToJson(syntheticCampaign());
+  const Json baseline = syntheticReport("wall_baseline");
   // 20% slower everywhere, identical metrics.
-  const Json slower = campaignToJson(syntheticCampaign(1.2));
+  const Json slower = syntheticReport("slower", 1.2);
   SweepCheckOptions opts;
   opts.wallTol = 0.1;
   const SweepCheckResult r = compareCampaigns(baseline, slower, opts);
@@ -504,13 +556,13 @@ TEST(SweepCheck, FailsOnInjectedWallTimeRegression) {
   EXPECT_TRUE(compareCampaigns(baseline, slower, opts).ok());
   // ...and a *speedup* never fails, even at zero tolerance.
   opts.wallTol = 0.0;
-  const Json faster = campaignToJson(syntheticCampaign(0.5));
+  const Json faster = syntheticReport("faster", 0.5);
   EXPECT_TRUE(compareCampaigns(baseline, faster, opts).ok());
 }
 
 TEST(SweepCheck, FailsOnMetricDrift) {
-  const Json baseline = campaignToJson(syntheticCampaign());
-  const Json drifted = campaignToJson(syntheticCampaign(1.0, 1.1));  // slots +10%
+  const Json baseline = syntheticReport("drift_baseline");
+  const Json drifted = syntheticReport("drifted", 1.0, 1.1);  // slots +10%
   SweepCheckOptions opts;
   opts.metricTol = 0.05;
   const SweepCheckResult r = compareCampaigns(baseline, drifted, opts);
@@ -525,10 +577,11 @@ TEST(SweepCheck, FailsOnMetricDrift) {
 }
 
 TEST(SweepCheck, MissingCellsAndSubsets) {
-  const Json baseline = campaignToJson(syntheticCampaign());
-  CampaignResult half = syntheticCampaign();
+  const Json baseline = syntheticReport("missing_baseline");
+  const std::string halfDir = testing::TempDir() + "synthetic_half";
+  campaign::WorkQueueCampaign half = syntheticCampaign(halfDir);
   half.cells.pop_back();
-  const Json candidate = campaignToJson(half);
+  const Json candidate = reportJson(half, halfDir);
   SweepCheckOptions opts;
   EXPECT_FALSE(compareCampaigns(baseline, candidate, opts).ok());
   opts.allowMissing = true;
@@ -581,10 +634,9 @@ TEST(SweepFiles, SmokeBaselineMatchesAFreshRun) {
   std::string err;
   ASSERT_TRUE(loadSweepFile(spec, std::string(MCS_SOURCE_DIR) + "/sweeps/smoke.sweep", err))
       << err;
-  CampaignOptions opts;
-  opts.writeCellFiles = false;
-  CampaignResult campaign;
-  ASSERT_TRUE(runCampaign(spec, opts, campaign, err)) << err;
+  const std::string dir = testing::TempDir() + "sweep_smoke";
+  std::filesystem::remove_all(dir);
+  const Json candidate = reportJson(runInline(spec, dir), dir);
 
   Json baseline;
   ASSERT_TRUE(
@@ -593,10 +645,11 @@ TEST(SweepFiles, SmokeBaselineMatchesAFreshRun) {
   SweepCheckOptions check;
   check.metricTol = 0.2;
   check.wallTol = 1e9;
-  const SweepCheckResult r = compareCampaigns(baseline, campaignToJson(campaign), check);
+  const SweepCheckResult r = compareCampaigns(baseline, candidate, check);
   EXPECT_TRUE(r.ok()) << (r.violations.empty() ? "" : r.violations[0])
                       << "\n(seed pipeline changed? regenerate sweeps/baseline.json per "
                          "sweeps/smoke.sweep)";
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ScenarioBounds, WidthDegradesKnowledgeDeterministically) {
