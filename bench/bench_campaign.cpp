@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   BenchReport report("campaign");
   report.meta("heavy_n", heavyN).meta("light_n", lightN).meta("seeds", seeds);
 
-  const double t0 = now();
+  const double t0 = nowSec();
   bool ok = true;
   double w8Speedup = 0.0;
   for (const int workers : {4, 8}) {
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
         .col("leases", static_cast<double>(wqc.leases))
         .col("requeues", static_cast<double>(wqc.requeues));
   }
-  const double wall = now() - t0;
+  const double wall = nowSec() - t0;
 
   row("%s", "");
   if (requireSpeedup > 0.0) {

@@ -1,28 +1,17 @@
 #pragma once
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "mcs.h"
 
-/// Shared helpers for the experiment binaries (bench/exp_*).
-///
-/// Each binary regenerates one table/figure from DESIGN.md §4, prints a
-/// self-describing table to stdout, AND records the same numbers through a
-/// BenchReport, which writes machine-readable BENCH_<name>.json so future
-/// changes can diff perf and results across commits.  All runs are seeded
-/// and reproducible; pass --seed / --reps / size flags to vary.
+/// Shared helpers for the bench CLIs (bench_*, scenario_runner,
+/// sweep_runner): telemetry flag handling, terminal tables, and the
+/// BenchReport that writes machine-readable BENCH_<name>.json so runs can
+/// be diffed across commits (sweep_check's rows mode reads it).
 namespace mcs::bench {
-
-/// Monotonic wall-clock seconds (for throughput measurements).
-/// Kept as the bench-local name; the one steady-clock read lives in
-/// util/clock.h.
-inline double now() { return nowSec(); }
 
 /// Arms engine metrics (--metrics), decode-attribution/time-series probes
 /// (--probes — implies --metrics, since the cause counters ride the
@@ -79,11 +68,13 @@ inline bool finishTelemetryCli(const Args& args, double wallSec, bool writeTrace
   return true;
 }
 
-/// Accumulates experiment output as ordered key -> (number | string) rows
+/// Accumulates bench output as ordered key -> (number | string) rows
 /// plus run-level metadata, and serializes to BENCH_<name>.json:
 ///
 ///   {"name": "...", "meta": {...}, "rows": [{...}, ...]}
 ///
+/// Keys keep insertion order (sweep_check keys rows by their string
+/// columns in order); a repeated key overwrites its earlier value.
 /// Numbers use shortest round-trip formatting; NaN/inf serialize as null.
 class BenchReport {
  public:
@@ -94,7 +85,7 @@ class BenchReport {
 
   /// Starts a new row; follow with col() calls.
   BenchReport& row() {
-    rows_.emplace_back();
+    rows_.push_back(Json::object());
     return *this;
   }
   BenchReport& col(const std::string& key, double v) { return put(currentRow(), key, v); }
@@ -105,27 +96,17 @@ class BenchReport {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   [[nodiscard]] std::string json() const {
-    std::string out = "{\"name\": ";
-    appendString(out, name_);
-    out += ", \"meta\": ";
-    appendObject(out, meta_);
-    out += ", \"rows\": [";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (i > 0) out += ", ";
-      appendObject(out, rows_[i]);
-    }
-    out += ']';
+    Json root = Json::object();
+    root.set("name", name_);
+    root.set("meta", meta_);
+    root.set("rows", rows_);
     // Every BENCH_*.json grows a "telemetry" block when metrics are armed
     // (--metrics); disabled runs keep the historical two-key layout.
     if (telemetry::enabled()) {
       const telemetry::MetricsSnapshot snap = telemetry::snapshotMetrics();
-      if (!snap.empty()) {
-        out += ", \"telemetry\": ";
-        out += snap.toJson().dump();
-      }
+      if (!snap.empty()) root.set("telemetry", snap.toJson());
     }
-    out += "}\n";
-    return out;
+    return root.dump() + "\n";
   }
 
   /// Writes BENCH_<name>.json into `dir` and reports the path on stdout.
@@ -146,102 +127,22 @@ class BenchReport {
   }
 
  private:
-  struct Value {
-    bool isNumber = false;
-    double number = 0.0;
-    std::string text;
-  };
-  using Object = std::vector<std::pair<std::string, Value>>;
-
   /// col() before any row() starts one implicitly rather than hitting
-  /// undefined behavior on an empty vector.
-  Object& currentRow() {
-    if (rows_.empty()) rows_.emplace_back();
-    return rows_.back();
+  /// undefined behavior on an empty array.
+  Json& currentRow() {
+    if (rows_.size() == 0) row();
+    return rows_.items().back();
   }
 
-  BenchReport& put(Object& obj, const std::string& key, double v) {
-    obj.push_back({key, Value{true, v, {}}});
+  BenchReport& put(Json& obj, const std::string& key, Json v) {
+    obj.set(key, std::move(v));
     return *this;
-  }
-  BenchReport& put(Object& obj, const std::string& key, const std::string& v) {
-    obj.push_back({key, Value{false, 0.0, v}});
-    return *this;
-  }
-
-  static void appendString(std::string& out, const std::string& s) {
-    out += '"';
-    for (const char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    out += '"';
-  }
-
-  static void appendNumber(std::string& out, double v) {
-    if (!std::isfinite(v)) {
-      out += "null";
-      return;
-    }
-    char buf[32];
-    const auto res = std::to_chars(buf, buf + sizeof buf, v);
-    out.append(buf, res.ptr);
-  }
-
-  static void appendObject(std::string& out, const Object& obj) {
-    out += '{';
-    for (std::size_t i = 0; i < obj.size(); ++i) {
-      if (i > 0) out += ", ";
-      appendString(out, obj[i].first);
-      out += ": ";
-      if (obj[i].second.isNumber) {
-        appendNumber(out, obj[i].second.number);
-      } else {
-        appendString(out, obj[i].second.text);
-      }
-    }
-    out += '}';
   }
 
   std::string name_;
-  Object meta_;
-  std::vector<Object> rows_;
+  Json meta_ = Json::object();
+  Json rows_ = Json::array();
 };
-
-/// Uniform deployment at a fixed node density (nodes per unit area),
-/// so that Delta stays roughly constant across n (E2/E3 sweeps).
-inline Network uniformAtDensity(int n, double density, std::uint64_t seed, Tuning tuning = {}) {
-  Rng rng(seed);
-  const double side = std::sqrt(static_cast<double>(n) / density);
-  auto pts = deployUniformSquare(n, side, rng);
-  return Network(std::move(pts), SinrParams{}, tuning);
-}
-
-/// Dense square deployment (cluster sizes >> log n: the Delta/F regime).
-inline Network densePatch(int n, double side, std::uint64_t seed, Tuning tuning = {}) {
-  Rng rng(seed);
-  auto pts = deployUniformSquare(n, side, rng);
-  return Network(std::move(pts), SinrParams{}, tuning);
-}
-
-inline std::vector<double> randomValues(int n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> values(static_cast<std::size_t>(n));
-  for (double& x : values) x = rng.uniform();
-  return values;
-}
 
 /// printf-style row helper keeping tables readable in a terminal.
 template <class... Ts>
@@ -251,9 +152,10 @@ void row(const char* fmt, Ts... args) {
   std::fflush(stdout);
 }
 
-inline void header(const std::string& title, const std::string& claim) {
+/// A table's banner: its title, then one line saying what it measures.
+inline void header(const std::string& title, const std::string& what) {
   std::printf("\n=== %s ===\n", title.c_str());
-  std::printf("paper claim: %s\n\n", claim.c_str());
+  std::printf("%s\n\n", what.c_str());
   std::fflush(stdout);
 }
 

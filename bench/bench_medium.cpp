@@ -163,13 +163,13 @@ double measureIndexing(bool incremental, int n, double side, double cellSize, do
   std::uint64_t steps = 0;
   while (elapsed < budget) {
     driftPoints(pts, box, step, rng);
-    const double t0 = bench::now();
+    const double t0 = nowSec();
     if (incremental) {
       index.update(pts);
     } else {
       index.rebuild(pts, cellSize);
     }
-    elapsed += bench::now() - t0;
+    elapsed += nowSec() - t0;
     ++steps;
   }
   return static_cast<double>(steps) / elapsed;
@@ -182,13 +182,13 @@ template <class Resolve, class DecodeCount>
 Measured measure(Resolve&& resolve, DecodeCount&& decodeCount, double budget) {
   resolve();  // warm-up: scratch allocation, page faults
   const std::uint64_t d0 = decodeCount();
-  const double t0 = bench::now();
+  const double t0 = nowSec();
   std::uint64_t slots = 0;
   double elapsed = 0.0;
   do {
     resolve();
     ++slots;
-    elapsed = bench::now() - t0;
+    elapsed = nowSec() - t0;
   } while (elapsed < budget);
   Measured m;
   m.slotsPerSec = static_cast<double>(slots) / elapsed;
@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
   // --metrics / --trace-out: engine telemetry for the measured slots (the
   // telemetry-overhead smoke diffs a --metrics run against a plain one).
   armTelemetryCli(args);
-  const double benchT0 = now();
+  const double benchT0 = nowSec();
 
   SinrParams params;
   params.alpha = alpha;
@@ -421,6 +421,6 @@ int main(int argc, char** argv) {
     report.meta("dynamic_vs_static", ratio);
   }
 
-  if (!finishTelemetryCli(args, now() - benchT0)) return 1;
+  if (!finishTelemetryCli(args, nowSec() - benchT0)) return 1;
   return report.write() ? 0 : 1;
 }

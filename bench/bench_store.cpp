@@ -66,7 +66,7 @@ int run(const Args& args) {
   std::vector<double> expectSumPerLoad(loadValues, 0.0);
   std::vector<std::uint64_t> expectCountPerLoad(loadValues, 0);
 
-  const double w0 = bench::now();
+  const double w0 = nowSec();
   MetricMap tm;
   for (std::size_t c = 0; c < cells; ++c) {
     const int load = static_cast<int>(c) % loadValues;
@@ -104,7 +104,7 @@ int run(const Args& args) {
     std::fprintf(stderr, "bench_store: finish: %s\n", err.c_str());
     return 1;
   }
-  const double writeWall = bench::now() - w0;
+  const double writeWall = nowSec() - w0;
 
   bench::header("store: write", std::to_string(cells) + " cells, " +
                                     std::to_string(writer.bytesWritten()) + " bytes");
@@ -124,7 +124,7 @@ int run(const Args& args) {
     return 1;
   }
 
-  const double q0 = bench::now();
+  const double q0 = nowSec();
   store::StoreQuery query;
   query.metrics = {"throughput"};
   query.groupBy = "load";
@@ -133,7 +133,7 @@ int run(const Args& args) {
     std::fprintf(stderr, "bench_store: query: %s\n", err.c_str());
     return 1;
   }
-  const double groupWall = bench::now() - q0;
+  const double groupWall = nowSec() - q0;
 
   if (groups.size() != static_cast<std::size_t>(loadValues)) {
     std::fprintf(stderr, "bench_store: expected %d groups, got %zu\n", loadValues,
@@ -163,7 +163,7 @@ int run(const Args& args) {
       .col("wall_sec", groupWall);
 
   // ---- query: filtered scan -------------------------------------------
-  const double f0 = bench::now();
+  const double f0 = nowSec();
   store::StoreQuery filtered;
   filtered.metrics = {"latency"};
   filtered.where = {{"load", "3"}};
@@ -172,7 +172,7 @@ int run(const Args& args) {
     std::fprintf(stderr, "bench_store: filter: %s\n", err.c_str());
     return 1;
   }
-  const double filterWall = bench::now() - f0;
+  const double filterWall = nowSec() - f0;
   if (one.size() != 1 || one[0].cells != expectCellsPerLoad[3]) {
     std::fprintf(stderr, "bench_store: filter returned wrong cell set\n");
     return 1;

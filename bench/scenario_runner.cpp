@@ -88,9 +88,9 @@ int main(int argc, char** argv) {
   //    records the slot-level Chrome trace.
   armTelemetryCli(args);
   header("scenario: " + spec.name, describeScenario(spec));
-  const double t0 = now();
+  const double t0 = nowSec();
   const ScenarioBatchResult batch = runScenarioBatch(spec, threads);
-  const double wall = now() - t0;
+  const double wall = nowSec() - t0;
   const std::vector<std::string> metricNames = batch.metricNames();
 
   // 3. Per-seed table + report rows.

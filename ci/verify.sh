@@ -123,6 +123,16 @@ awk -v off="${base_wall}" -v on="${telem_wall}" 'BEGIN {
 ./bench/sweep_check --baseline=../sweeps/e10_baseline.json \
   --candidate=bench-artifacts/BENCH_sweep_e10_mobility.json --metric-tol=0 --wall-tol=9
 
+# The paper experiments run as sweep presets, their tables as store
+# queries.  E9 at two small sizes: the uplink contention column must come
+# out of the store.
+./bench/sweep_runner --preset=e9_contention --sweep.n=150,300 --store \
+  --out-dir=bench-artifacts/e9-smoke
+output_has 'uplink_max_contention_ratio' ./bench/sweep_query \
+  bench-artifacts/e9-smoke/BENCH_sweep_e9_contention.store --group-by=n \
+  --select=uplink_max_contention_ratio \
+  || { echo "FAIL: the e9_contention store has no uplink contention metric"; exit 1; }
+
 # --- Work-queue campaign smoke -----------------------------------------------
 # The same smoke campaign through forked workers (--workers): the spliced
 # report must pass the identical baseline gate as the inline run — the

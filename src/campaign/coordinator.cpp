@@ -95,6 +95,12 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
   static const telemetry::TimerId kReduce = telemetry::timerId("campaign.reduce");
 
   const double t0 = nowSec();
+  const bool withTelemetry = telemetry::enabled();
+  telemetry::MetricsSnapshot telemetryBefore;
+  if (withTelemetry) telemetryBefore = telemetry::snapshotMetrics();
+  const auto addTelemetry = [&](const std::string& name, double value) {
+    out.telemetry.set(name, out.telemetry.getOr(name) + value);
+  };
 
   // This shard's cells, in expansion order; leaf index in the reduction
   // tree = position here, so the reduced root only depends on the shard's
@@ -148,11 +154,14 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
     const Json* probesJson = body.find("probes");
     telemetry::ProbeState probes =
         probesJson ? telemetry::probesFromJson(*probesJson) : telemetry::ProbeState();
+    MetricMap tm;
+    if (const Json* tmJson = body.find("telemetry"); tmJson != nullptr && tmJson->isObject()) {
+      for (const auto& [name, value] : tmJson->members()) tm.set(name, value.asDouble());
+    }
+    if (withTelemetry) {
+      for (const auto& [name, value] : tm.entries()) addTelemetry(name, value);
+    }
     if (storeWriter.isOpen()) {
-      MetricMap tm;
-      if (const Json* tmJson = body.find("telemetry"); tmJson != nullptr && tmJson->isObject()) {
-        for (const auto& [name, value] : tmJson->members()) tm.set(name, value.asDouble());
-      }
       store::StoreCellRow row;
       row.cellIndex = rec.cell.index;
       row.label = rec.cell.label;
@@ -464,6 +473,20 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
   }
 
   if (storeWriter.isOpen() && !storeWriter.finish(err)) return false;
+
+  // The coordinator's own counters.  Cells never record campaign.* or
+  // store.*, and an inline run's engine counters are already in the cell
+  // sums, so only those two namespaces are taken from this process.
+  if (withTelemetry) {
+    const telemetry::MetricsSnapshot own = telemetry::snapshotMetrics().diff(telemetryBefore);
+    for (const telemetry::CounterSample& c : own.counters) {
+      const bool coordinatorOnly =
+          c.name.starts_with("campaign.") || c.name.starts_with("store.");
+      if (coordinatorOnly && c.value != 0) {
+        addTelemetry("tm." + c.name, static_cast<double>(c.value));
+      }
+    }
+  }
 
   // Merge the per-worker trace dumps (written at DONE, which the drain
   // above waited for) into one Chrome trace: events concatenate verbatim —

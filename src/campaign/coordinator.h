@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "campaign/reduce.h"
+#include "scenario/driver.h"
 #include "sweep/expand.h"
 
 /// The campaign coordinator: the one campaign engine.  It expands the
@@ -119,6 +120,11 @@ struct WorkQueueCampaign {
   /// Tree-reduced campaign-wide probe aggregate (empty unless probes were
   /// armed).
   telemetry::ProbeState probes;
+  /// Campaign-wide telemetry in the cells' flat "tm." form (empty unless
+  /// metrics were armed): the sum of every counted cell's own telemetry
+  /// plus the counters only the coordinator records (campaign.*,
+  /// store.*), so it is the same whichever executor ran the cells.
+  MetricMap telemetry;
   /// Peak reducer frontier observed (memory diagnostics/tests).
   std::size_t peakPendingNodes = 0;
   double wallSec = 0.0;

@@ -8,7 +8,7 @@
 
 #include "sweep/report.h"
 #include "sweep/runner.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/probes.h"
 #include "util/csv.h"
 #include "util/json.h"
 #include "util/stats.h"
@@ -163,11 +163,12 @@ bool writeWorkQueueCampaignReport(const WorkQueueCampaign& campaign,
   if (!campaign.probes.empty()) {
     f << ", \"probes\": " << telemetry::probesToJson(campaign.probes).dump();
   }
-  // Campaign-wide counter/timer totals of this process, present only when
-  // telemetry is enabled — the default report layout stays fixed.
-  if (telemetry::enabled()) {
-    const telemetry::MetricsSnapshot snap = telemetry::snapshotMetrics();
-    if (!snap.empty()) f << ", \"telemetry\": " << snap.toJson().dump();
+  // Campaign-wide telemetry (WorkQueueCampaign::telemetry), present only
+  // when metrics were armed — the default report layout stays fixed.
+  if (!campaign.telemetry.empty()) {
+    Json tm = Json::object();
+    for (const auto& [name, value] : campaign.telemetry.entries()) tm.set(name, value);
+    f << ", \"telemetry\": " << tm.dump();
   }
   f << "}\n";
   f.flush();

@@ -97,6 +97,14 @@ ProtocolOutcome runAggregationWorkload(Simulator& sim, const ScenarioSpec& spec,
   out.metrics.set("truth_value", truth);
   out.metrics.set("uplink_slots", u64(run.costs.uplink));
   out.metrics.set("agg_slots", u64(run.costs.aggregationTotal()));
+  if (!aloha) {
+    // The §6 uplink's phase structure and contention (Lemmas 19-21).  The
+    // ALOHA baseline has no phases, so it reports none.
+    out.metrics.set("uplink_increasing_phases", run.uplink.increasingPhases);
+    out.metrics.set("uplink_unchanging_phases", run.uplink.unchangingPhases);
+    out.metrics.set("uplink_max_phases", run.uplink.maxPhasesAnyCluster);
+    out.metrics.set("uplink_max_contention_ratio", run.uplink.maxContentionRatio);
+  }
   out.validity = verdict(run.delivered && aggregateMatches(got, truth, kind));
   if (sim.dynamic()) {
     // Re-delivery under motion: a second data phase over the now-stale

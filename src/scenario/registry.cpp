@@ -71,8 +71,9 @@ std::vector<Entry> buildRegistry() {
 
   {
     // The §1 lower-bound instance.  Structure-only: the point of the
-    // chain is slot-level behavior (see bench/exp_e7), and the blob of
-    // near-origin points makes the full data phase pathological.
+    // chain is slot-level behavior (the chain_lowerbound preset samples
+    // it), and the blob of near-origin points makes the full data phase
+    // pathological.
     ScenarioSpec s = preset("exponential_chain", DeploymentKind::ExponentialChain,
                             ProtocolKind::Structure, 48, 4);
     s.deployment.chainBase = 1.25;

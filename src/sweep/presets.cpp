@@ -12,10 +12,11 @@ struct PresetEntry {
   const char* text;
 };
 
-/// The E1-E9 grids.  Side values for fixed-density sweeps are
-/// sqrt(n / 900) (the exp_e2/e3/e5 density default), paired with n via
-/// zip axes.  Sizes mirror the original binaries; override with flags
-/// (e.g. `--seeds=1 --n=...`) for smoke runs.
+/// The E1-E10 grids, one per paper experiment (README.md maps each to its
+/// sweep_query table).  Fixed-density sweeps hold 900 nodes per unit area:
+/// side = sqrt(n / 900), paired with n via zip axes.  Sizes are the
+/// experiments' own; override with flags (e.g. `--seeds=1 --n=...`) for
+/// smoke runs.
 constexpr PresetEntry kPresets[] = {
     {"e1_speedup",
      "E1: aggregation slots vs channel count F on a dense patch (Thm 22 speedup)",
@@ -84,10 +85,10 @@ constexpr PresetEntry kPresets[] = {
     {"e7_chain",
      "E7: exponential-chain concurrency sampling vs channel count (the §1 lower bound)",
      "name = e7_chain\n"
+     "# the base's chain_base = 2, chain_max_gap = 0.9: the literal {2^i} chain\n"
+     "# of §1, where at most one descending sender per channel can succeed\n"
      "base = chain_lowerbound\n"
      "n = 48\n"
-     "chain_base = 1.25\n"
-     "chain_max_gap = 0.45\n"
      "chain_trials = 600\n"
      "seeds = 1\n"
      "seed0 = 7\n"

@@ -23,6 +23,7 @@
 #include "sweep/report.h"
 #include "sweep/runner.h"
 #include "sweep/spec.h"
+#include "telemetry/telemetry.h"
 #include "util/framing.h"
 #include "util/json.h"
 #include "util/stats.h"
@@ -400,6 +401,63 @@ TEST(WorkQueue, StoreMatchesInProcessByteForByte) {
   EXPECT_EQ(reader.campaignName(), "wq_store");
   EXPECT_NE(reader.metricIndex("slots"), -1);
   EXPECT_NE(reader.axisIndex("channels"), -1);
+}
+
+TEST(WorkQueue, TelemetryBlockIsIndependentOfTheExecutor) {
+  // With metrics armed, the report's campaign-wide "telemetry" block is
+  // the cells' summed telemetry plus the coordinator's own counters, so
+  // an inline run and a forked run list the same names with the same
+  // counter values.  Timer totals are wall-derived: only their counts
+  // are compared.
+  struct MetricsOn {
+    MetricsOn() {
+      telemetry::resetMetrics();
+      telemetry::setEnabled(true);
+    }
+    ~MetricsOn() {
+      telemetry::setEnabled(false);
+      telemetry::resetMetrics();
+    }
+  } metricsOn;
+  const std::string dir = testing::TempDir() + "wq_telemetry";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const SweepSpec spec = tinySweep("wq_telemetry");
+
+  const auto reportTelemetry = [&](const std::string& tag, int workers) {
+    WorkQueueOptions opts;
+    opts.workers = workers;
+    opts.outDir = dir + "/" + tag;
+    opts.storePath = dir + "/" + tag + ".store";
+    WorkQueueCampaign run;
+    std::string err, path;
+    EXPECT_TRUE(runCampaignWorkQueue(spec, opts, run, err)) << err;
+    EXPECT_TRUE(writeWorkQueueCampaignReport(run, opts.outDir, opts.outDir, path, err)) << err;
+    Json report;
+    EXPECT_TRUE(Json::parseFile(path, report, err)) << err;
+    const Json* tm = report.find("telemetry");
+    return tm != nullptr ? *tm : Json();
+  };
+  const Json inlineTm = reportTelemetry("inline", 0);
+  const Json forkedTm = reportTelemetry("forked", 2);
+  ASSERT_TRUE(inlineTm.isObject());
+  ASSERT_TRUE(forkedTm.isObject());
+  EXPECT_EQ(inlineTm.numberAt("tm.campaign.leases"), 3.0);
+  EXPECT_EQ(inlineTm.numberAt("tm.sweep.cell.count"), 3.0);
+  EXPECT_EQ(inlineTm.numberAt("tm.store.cells_written"), 3.0);
+  EXPECT_GT(inlineTm.numberAt("tm.medium.slots"), 0.0);
+
+  std::vector<std::string> inlineKeys, forkedKeys;
+  for (const auto& [name, value] : inlineTm.members()) inlineKeys.push_back(name);
+  for (const auto& [name, value] : forkedTm.members()) forkedKeys.push_back(name);
+  std::sort(inlineKeys.begin(), inlineKeys.end());
+  std::sort(forkedKeys.begin(), forkedKeys.end());
+  EXPECT_EQ(inlineKeys, forkedKeys);
+  for (const auto& [name, value] : inlineTm.members()) {
+    if (name.ends_with(".sec")) continue;
+    EXPECT_EQ(forkedTm.numberAt(name, -1.0), value.asDouble()) << name;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(WorkQueue, CrossModeResumeLoadsInlineCellsWithoutLeasing) {

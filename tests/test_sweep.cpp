@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -622,6 +623,79 @@ TEST(SweepPresets, CommittedFilesMatchPresets) {
       EXPECT_EQ(fileCells[i].label, presetCells[i].label) << name;
       EXPECT_EQ(describeScenario(fileCells[i].spec), describeScenario(presetCells[i].spec))
           << name;
+    }
+  }
+}
+
+TEST(SweepPresets, FigurePresetsReportTheirColumns) {
+  // Each paper experiment is a preset: its table is a sweep_query over
+  // the store, so every measured (non-derived) column of the experiment
+  // must be a cell column.  The first cell of each preset runs shrunk to
+  // one seed at a small n and must pass its driver's audit (for E7 that
+  // is the §1 bound: at most one descending sender at F = 1).
+  struct Figure {
+    const char* preset;
+    const char* protocol;  // override ("" keeps the preset's)
+    int n;                 // shrunk size (0 keeps the preset's)
+    std::vector<std::string> columns;
+  };
+  const std::vector<Figure> figures = {
+      // E1 (Thm 22): slots per stage; the speedup over F = 1 is derived.
+      {"e1_speedup", "", 300, {"uplink_slots", "agg_slots", "structure_slots"}},
+      {"e1_speedup", "aloha", 300, {"uplink_slots", "agg_slots", "structure_slots"}},
+      // E3 (Thm 10): per-stage structure cost; total / ln^2 n is derived.
+      {"e3_structure",
+       "",
+       0,
+       {"clusters", "ds_slots", "cluster_coloring_slots", "csa_slots", "reporter_slots",
+        "structure_slots"}},
+      // E4 (Thm 24): classes / Delta is derived.
+      {"e4_coloring",
+       "",
+       200,
+       {"coloring_uplink_slots", "coloring_tree_slots", "coloring_assign_slots",
+        "color_classes", "delta", "wall_sec"}},
+      // E5 (Lemma 6): rounds / ln n is derived.
+      {"e5_ruling",
+       "",
+       0,
+       {"ruling_set_size", "ruling_rounds", "independence_violations", "unbound",
+        "max_density", "wall_sec"}},
+      // E6 (Lemmas 12-14), including E3's naive-vs-tight DeltaHat column.
+      {"e6_csa", "", 200, {"csa_slots", "csa_worst_ratio", "clusters", "max_cluster", "wall_sec"}},
+      // E7 (the §1 chain lower bound).
+      {"e7_chain", "", 0, {"max_descending", "mean_descending", "max_total", "mean_total"}},
+      // E9 (Lemmas 19-21).  Delta is a deployment property: the coloring
+      // driver reports it for the same seeds.
+      {"e9_contention",
+       "",
+       200,
+       {"uplink_max_phases", "uplink_increasing_phases", "uplink_unchanging_phases",
+        "uplink_max_contention_ratio", "uplink_slots"}},
+  };
+  for (const Figure& fig : figures) {
+    SCOPED_TRACE(std::string(fig.preset) + " " + fig.protocol);
+    SweepSpec spec;
+    std::string err;
+    ASSERT_TRUE(SweepRegistry::find(fig.preset, spec, err)) << err;
+    std::vector<SweepCell> cells;
+    ASSERT_TRUE(expandSweep(spec, cells, err)) << err;
+    ASSERT_FALSE(cells.empty());
+    CellResult cell;
+    cell.cell = cells.front();
+    ScenarioSpec& scenario = cell.cell.spec;
+    scenario.seeds = 1;
+    if (fig.n > 0) scenario.deployment.n = fig.n;
+    if (*fig.protocol != '\0') {
+      ASSERT_TRUE(applyScenarioKey(scenario, "protocol", fig.protocol, err)) << err;
+    }
+    cell.batch = runScenarioBatch(scenario, 1);
+    ASSERT_EQ(cell.batch.failures(), 0) << cell.batch.perSeed.front().error;
+    EXPECT_EQ(cell.batch.invalidCount(), 0);
+    std::vector<std::string> names;
+    for (const auto& [name, stats] : cellStats(cell)) names.push_back(name);
+    for (const std::string& column : fig.columns) {
+      EXPECT_TRUE(std::find(names.begin(), names.end(), column) != names.end()) << column;
     }
   }
 }
