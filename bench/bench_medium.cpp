@@ -299,7 +299,10 @@ int main(int argc, char** argv) {
   // size); the point of the tier is that the hierarchical pyramid resolves
   // million-node slots at a pace NearFar's O(occupied cells) per listener
   // cannot match.  Slot counts are tiny (warm-up + budget), so this stays
-  // CI-runnable.
+  // CI-runnable, and a gate: the run fails when hier is not at least
+  // kHugeMinHierVsNearFar times NearFar's pace.
+  constexpr double kHugeMinHierVsNearFar = 1.5;
+  bool hugeGateFailed = false;
   if (args.getBool("huge")) {
     const int n = 1'000'000;
     const int channels = 8;
@@ -343,6 +346,11 @@ int main(int argc, char** argv) {
         .col("decodes_per_slot", static_cast<double>(hierM.decodesPerSlot))
         .col("hier_vs_nearfar", ratio);
     report.meta("hier_vs_nearfar_huge", ratio);
+    if (ratio < kHugeMinHierVsNearFar) {
+      std::fprintf(stderr, "bench_medium: hier_vs_nearfar_huge %.2f < %.2f\n", ratio,
+                   kHugeMinHierVsNearFar);
+      hugeGateFailed = true;
+    }
   }
 
   // --- Mobility cases ------------------------------------------------------
@@ -422,5 +430,5 @@ int main(int argc, char** argv) {
   }
 
   if (!finishTelemetryCli(args, nowSec() - benchT0)) return 1;
-  return report.write() ? 0 : 1;
+  return report.write() && !hugeGateFailed ? 0 : 1;
 }

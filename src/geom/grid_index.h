@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -54,12 +55,20 @@ class GridIndex {
   void forEachInBall(Vec2 center, double radius, Fn&& fn) const {
     if (cells_ == 0) return;
     const double r2 = radius * radius;
-    const auto [cxLo, cyLo] = cellOf({center.x - radius, center.y - radius});
-    const auto [cxHi, cyHi] = cellOf({center.x + radius, center.y + radius});
+    // The cell window, and the skip of window cells whose box misses the
+    // ball, use the ball widened by a relative slack: rounding in cellOf
+    // and in the box edges then never drops a point on the rim, and the
+    // order stays that of a full scan of the window.
+    const double reach =
+        radius + kBallSlack * (radius + cellSize_ + std::abs(center.x) + std::abs(center.y) +
+                               std::abs(minX_) + std::abs(minY_));
+    const double reach2 = reach * reach;
+    const auto [cxLo, cyLo] = cellOf({center.x - reach, center.y - reach});
+    const auto [cxHi, cyHi] = cellOf({center.x + reach, center.y + reach});
     for (long cy = cyLo; cy <= cyHi; ++cy) {
       for (long cx = cxLo; cx <= cxHi; ++cx) {
         const long cell = cellIndex(cx, cy);
-        if (cell < 0) continue;
+        if (cell < 0 || cellDist2(cx, cy, center) > reach2) continue;
         for (std::size_t i = start_[static_cast<std::size_t>(cell)];
              i < start_[static_cast<std::size_t>(cell) + 1]; ++i) {
           const NodeId id = ids_[i];
@@ -120,6 +129,10 @@ class GridIndex {
   [[nodiscard]] long nyCells() const noexcept { return ny_; }
 
  private:
+  /// Relative slack of forEachInBall's cell prune: far above the few ulps
+  /// the box edges can be off by, far below any cell size that matters.
+  static constexpr double kBallSlack = 1e-9;
+
   void fillCells();
   [[nodiscard]] std::pair<long, long> cellOf(Vec2 p) const noexcept;
   /// Flat cell index, or -1 when outside the indexed bounding box.

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -34,118 +34,116 @@ struct HierBaseCell {
 
 class HierGrid {
  public:
+  /// Deepest pyramid any long-indexable base grid needs (nx halves per
+  /// level); callers size per-level tallies with it.
+  static constexpr int kMaxLevels = 64;
+
   /// Rebuilds the pyramid over `base` cells laid out on a grid anchored at
   /// (minX, minY) with `nx` x `ny` cells of side `cellSize`.  Level 0 is
   /// the base grid; each coarser level halves the resolution (parent cell
   /// (cx, cy) covers children (2cx..2cx+1, 2cy..2cy+1)) and aggregates
-  /// counts and position sums, up to a single root cell.  Internal storage
-  /// is reused across rebuilds (per-slot callers allocate nothing in
-  /// steady state).
+  /// counts and position sums, up to a single root cell or `maxLevels`
+  /// levels, whichever comes first.  The occupied cells are then laid out
+  /// in forEachField's walk order, each with its admissibility threshold
+  /// for `nearRadius` and `theta` (see there).  Internal storage is reused
+  /// across rebuilds (per-slot callers allocate nothing in steady state).
   void build(double minX, double minY, double cellSize, long nx, long ny,
-             std::span<const HierBaseCell> base);
+             std::span<const HierBaseCell> base, double nearRadius, double theta,
+             int maxLevels = kMaxLevels);
 
   /// Empties the pyramid (queries visit nothing); storage is retained.
-  void clear() noexcept { numLevels_ = 0; }
+  void clear() noexcept {
+    numLevels_ = 0;
+    total_ = 0;
+    boxes_.clear();
+    cells_.clear();
+  }
 
   [[nodiscard]] bool empty() const noexcept { return numLevels_ == 0; }
   [[nodiscard]] int levels() const noexcept { return numLevels_; }
-  /// Total point count aggregated at the root (0 when empty).
-  [[nodiscard]] std::int64_t totalCount() const noexcept;
+  /// Total point count over all cells (0 when empty).
+  [[nodiscard]] std::int64_t totalCount() const noexcept { return total_; }
 
-  /// Coarse-to-fine field traversal for a query point `p`.
+  /// Coarse-to-fine field traversal for a query point `p`, under the
+  /// `nearRadius` and `theta` of the last build.
   ///
-  /// Every occupied region of the pyramid is reported exactly once, at
-  /// the coarsest admissible level: a cell at level k is *admissible* when
-  /// its box distance to `p` exceeds max(nearRadius, cellSize_k / theta).
-  /// Admissible cells invoke
-  ///     far(count, centroid, level, cx, cy)
-  /// and their subtree is pruned; inadmissible cells are opened, and at
-  /// level 0 invoke near(ref) for the caller to resolve the members
-  /// exactly.  Because cellSize_k / theta >= nearRadius never admits a
-  /// cell whose box touches the near ball, every point within nearRadius
-  /// of `p` is guaranteed to surface through near() — the same exactness
-  /// guarantee NearFar's single-level near-ball test provides.  For an
-  /// admissible cell at box distance d, every member lies within
-  /// cellSize_k * sqrt(2) <= theta * sqrt(2) * d of the centroid, which
-  /// bounds the relative displacement (and hence the batched kernel
-  /// error) uniformly at every level.
+  /// Every occupied region is reported exactly once, at the coarsest
+  /// admissible level: a level-k cell is *admissible* when its box
+  /// distance to `p` exceeds max(nearRadius, cellSize_k / theta).  An
+  /// admissible cell invokes far(count, centroid, level, cx, cy) and its
+  /// subtree is skipped; an inadmissible one is opened, and at level 0
+  /// invokes near(ref) for the caller to resolve its members exactly.
+  /// No admissible cell touches the near ball, so every point within
+  /// nearRadius of `p` surfaces through near().  Members of an admissible
+  /// cell at box distance d lie within cellSize_k * sqrt(2) <=
+  /// theta * sqrt(2) * d of its centroid, a relative bound that holds
+  /// uniformly at every level.  A one-level pyramid built with
+  /// theta = infinity admits exactly the cells beyond nearRadius, which
+  /// is NearFar's rule.
   ///
-  /// Traversal order is a pure function of the pyramid and `p` (fixed
-  /// child order, no data-dependent tie-breaks), so per-listener results
-  /// are reproducible and thread-count independent.
+  /// The walk is one linear pass over the occupied cells in depth-first
+  /// preorder (top-level cells row-major, children (dx, dy) = (0,0),
+  /// (1,0), (0,1), (1,1)), where an admissible cell jumps past its
+  /// subtree.  The order is a pure function of the pyramid and `p`, so
+  /// per-listener results are reproducible and thread-count independent.
   template <class FarFn, class NearFn>
-  void forEachField(Vec2 p, double nearRadius, double theta, FarFn&& far, NearFn&& near) const {
-    if (numLevels_ == 0) return;
-    const int top = numLevels_ - 1;
-    // Per-level admissibility threshold (squared box distance).
-    double thr2[kMaxLevels];
-    for (int k = 0; k <= top; ++k) {
-      const double t = std::max(nearRadius, levels_[static_cast<std::size_t>(k)].cellSize / theta);
-      thr2[k] = t * t;
-    }
-    // Explicit DFS; each opened cell pushes at most 4 children, so the
-    // stack is bounded by 3 * levels + 1 entries.
-    struct Frame {
-      int level;
-      long cx, cy;
-    };
-    Frame stack[3 * kMaxLevels + 4];
-    int sp = 0;
-    stack[sp++] = {top, 0, 0};
-    while (sp > 0) {
-      const Frame fr = stack[--sp];
-      const Level& L = levels_[static_cast<std::size_t>(fr.level)];
-      const std::size_t idx = static_cast<std::size_t>(fr.cy * L.nx + fr.cx);
-      const std::int64_t cnt = L.count[idx];
-      if (cnt == 0) continue;
-      if (boxDist2(p, fr.cx, fr.cy, L.cellSize) > thr2[fr.level]) {
-        const double inv = 1.0 / static_cast<double>(cnt);
-        far(cnt, Vec2{L.sumX[idx] * inv, L.sumY[idx] * inv}, fr.level, fr.cx, fr.cy);
-        continue;
-      }
-      if (fr.level == 0) {
-        near(ref_[idx]);
-        continue;
-      }
-      const Level& C = levels_[static_cast<std::size_t>(fr.level - 1)];
-      // Fixed (dy, dx) child order keeps the traversal deterministic.
-      for (long dy = 1; dy >= 0; --dy) {
-        for (long dx = 1; dx >= 0; --dx) {
-          const long ccx = fr.cx * 2 + dx;
-          const long ccy = fr.cy * 2 + dy;
-          if (ccx >= C.nx || ccy >= C.ny) continue;
-          stack[sp++] = {fr.level - 1, ccx, ccy};
-        }
+  void forEachField(Vec2 p, FarFn&& far, NearFn&& near) const {
+    const Box* boxes = boxes_.data();
+    const std::size_t m = boxes_.size();
+    std::size_t i = 0;
+    while (i < m) {
+      const Box& b = boxes[i];
+      // Distance to the closed box; equals GridIndex::cellDist2's branchy
+      // below/inside/above form bit for bit (at most one term is positive).
+      const double dx = std::max(std::max(b.x0 - p.x, p.x - b.x1), 0.0);
+      const double dy = std::max(std::max(b.y0 - p.y, p.y - b.y1), 0.0);
+      if (dx * dx + dy * dy > b.thr2) {
+        const Cell& c = cells_[i];
+        far(c.count, c.centroid, b.level, c.cx, c.cy);
+        i = b.skip;
+      } else {
+        if (b.level == 0) near(b.ref);
+        ++i;
       }
     }
   }
 
  private:
-  // Enough for any long-indexable base grid (nx halves per level).
-  static constexpr int kMaxLevels = 64;
+  /// One occupied cell in walk (preorder) position, split into what
+  /// every visit reads (Box) and what only far() and near() read (Cell).
+  struct Box {
+    double x0, y0, x1, y1;  // closed box: x1 = x0 + cellSize_k
+    double thr2;            // squared admissibility threshold of the level
+    std::int32_t level;
+    std::uint32_t skip;     // index just past this cell's subtree
+    std::int32_t ref;       // caller ref (level 0 only)
+  };
+  struct Cell {
+    Vec2 centroid;          // sum * (1 / count)
+    std::int64_t count;
+    long cx, cy;
+  };
 
   struct Level {
     long nx = 0, ny = 0;
-    double cellSize = 0.0;
     std::vector<std::int64_t> count;
     std::vector<double> sumX, sumY;
   };
 
-  /// Squared distance from `p` to the closed box of cell (cx, cy) at a
-  /// given cell size (all levels share the (minX_, minY_) anchor).
-  [[nodiscard]] double boxDist2(Vec2 p, long cx, long cy, double cellSize) const noexcept {
-    const double x0 = minX_ + static_cast<double>(cx) * cellSize;
-    const double y0 = minY_ + static_cast<double>(cy) * cellSize;
-    const double dx = p.x < x0 ? x0 - p.x : (p.x > x0 + cellSize ? p.x - (x0 + cellSize) : 0.0);
-    const double dy = p.y < y0 ? y0 - p.y : (p.y > y0 + cellSize ? p.y - (y0 + cellSize) : 0.0);
-    return dx * dx + dy * dy;
-  }
+  /// Appends cell (cx, cy) of `level` and its occupied subtree in walk
+  /// order (recursion depth is at most the level count).
+  void emit(int level, long cx, long cy);
 
-  std::vector<Level> levels_;       // levels_[0] is the base grid; the
-                                    // first numLevels_ entries are live,
-                                    // extras retain capacity for reuse
+  std::vector<Box> boxes_;          // the walk, rebuilt by build()
+  std::vector<Cell> cells_;         // payload, parallel to boxes_
+  std::vector<Level> levels_;       // build scratch: levels_[0] is the
+                                    // base grid; entries past numLevels_
+                                    // retain capacity for reuse
   std::vector<std::int32_t> ref_;   // base-level caller refs (dense)
+  double cellSize_[kMaxLevels] = {};
+  double thr2_[kMaxLevels] = {};
   int numLevels_ = 0;
+  std::int64_t total_ = 0;
   double minX_ = 0.0, minY_ = 0.0;
 };
 

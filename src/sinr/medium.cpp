@@ -5,13 +5,13 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <type_traits>
 
 #include "telemetry/probes.h"
 #include "telemetry/telemetry.h"
-#include "util/log.h"
 
 namespace mcs {
 
@@ -59,10 +59,6 @@ telemetry::CounterId hierLevelCounter(int level) {
   return telemetry::counterId("medium.hier_far_cells.L" + std::to_string(level));
 }
 
-/// Matches HierGrid's private kMaxLevels bound (64 halvings cover any
-/// long-indexable grid); sized for the per-slot admission tally below.
-constexpr int kHierLevelSlots = 64;
-
 }  // namespace
 
 Medium::Medium(SinrParams params, int numChannels, int numThreads)
@@ -80,7 +76,7 @@ Medium::Medium(SinrParams params, int numChannels, int numThreads)
   if (numThreads > 1) pool_ = std::make_unique<ThreadPool>(numThreads);
 }
 
-void Medium::buildFields(bool buildHier) {
+void Medium::buildFields(double theta, int levels) {
   fields_.resize(static_cast<std::size_t>(numChannels_));
   // Half the near radius balances batching (fewer kernel calls per far
   // cell) against centroid accuracy (smaller spread within a cell).
@@ -90,7 +86,7 @@ void Medium::buildFields(bool buildHier) {
     f.lo = ws_.bucketBegin(static_cast<ChannelId>(c));
     const std::int32_t hi = ws_.bucketEnd(static_cast<ChannelId>(c));
     f.cells.clear();
-    if (buildHier) f.hier.clear();
+    f.pyramid.clear();
     if (f.lo == hi) continue;  // no transmitters: cells stay empty
     fieldPts_.clear();
     for (std::int32_t i = f.lo; i < hi; ++i) {
@@ -102,20 +98,16 @@ void Medium::buildFields(bool buildHier) {
     f.grid.forEachCell([&](long cx, long cy, std::span<const NodeId> ids) {
       Vec2 sum{};
       for (const NodeId id : ids) sum = sum + f.grid.point(id);
-      f.cells.push_back({sum * (1.0 / static_cast<double>(ids.size())), cx, cy, ids});
-      if (buildHier) {
-        hierBase_.push_back({cx, cy, sum.x, sum.y, static_cast<std::int64_t>(ids.size()),
-                             static_cast<std::int32_t>(f.cells.size()) - 1});
-      }
+      hierBase_.push_back({cx, cy, sum.x, sum.y, static_cast<std::int64_t>(ids.size()),
+                           static_cast<std::int32_t>(f.cells.size())});
+      f.cells.push_back({cx, cy, ids});
     });
-    if (buildHier) {
-      f.hier.build(f.grid.minX(), f.grid.minY(), cellSize, f.grid.nxCells(), f.grid.nyCells(),
-                   hierBase_);
-    }
+    f.pyramid.build(f.grid.minX(), f.grid.minY(), cellSize, f.grid.nxCells(), f.grid.nyCells(),
+                    hierBase_, nearRadius_, theta, levels);
   }
 }
 
-void Medium::buildFieldsDynamic(std::span<const Vec2> positions, bool buildHier) {
+void Medium::buildFieldsDynamic(std::span<const Vec2> positions, double theta, int levels) {
   // One persistent grid over every node position, advanced incrementally:
   // bounded per-slot displacement moves points between cells inside
   // GridIndex::update; leaving the box falls back to a rebuild there.
@@ -128,7 +120,7 @@ void Medium::buildFieldsDynamic(std::span<const Vec2> positions, bool buildHier)
     const std::int32_t hi = ws_.bucketEnd(static_cast<ChannelId>(c));
     f.cells.clear();
     f.sortedLocals.clear();
-    if (buildHier) f.hier.clear();
+    f.pyramid.clear();
     if (f.lo == hi) continue;
 
     // Group this channel's transmitters by their shared-grid cell.
@@ -154,18 +146,13 @@ void Medium::buildFieldsDynamic(std::span<const Vec2> positions, bool buildHier)
         ++j;
       }
       const auto [cx, cy] = allGrid_.cellCoords(cell);
-      f.cells.push_back({sum * (1.0 / static_cast<double>(j - i)), cx, cy,
-                         std::span<const NodeId>(f.sortedLocals.data() + i, j - i)});
-      if (buildHier) {
-        hierBase_.push_back({cx, cy, sum.x, sum.y, static_cast<std::int64_t>(j - i),
-                             static_cast<std::int32_t>(f.cells.size()) - 1});
-      }
+      hierBase_.push_back({cx, cy, sum.x, sum.y, static_cast<std::int64_t>(j - i),
+                           static_cast<std::int32_t>(f.cells.size())});
+      f.cells.push_back({cx, cy, std::span<const NodeId>(f.sortedLocals.data() + i, j - i)});
       i = j;
     }
-    if (buildHier) {
-      f.hier.build(allGrid_.minX(), allGrid_.minY(), allGrid_.cellSize(), allGrid_.nxCells(),
-                   allGrid_.nyCells(), hierBase_);
-    }
+    f.pyramid.build(allGrid_.minX(), allGrid_.minY(), allGrid_.cellSize(), allGrid_.nxCells(),
+                    allGrid_.nyCells(), hierBase_, nearRadius_, theta, levels);
   }
 }
 
@@ -204,31 +191,25 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
   }
 
   const MediumMode mode = params_.mediumMode;
-  if (mode == MediumMode::Hierarchical && n < kHierSmallNCrossover) {
-    logWarnOnce("medium.hier_small_n",
-                "medium_mode=hier with n=" + std::to_string(n) + " (< " +
-                    std::to_string(kHierSmallNCrossover) +
-                    "): the per-slot pyramid build usually outweighs its savings at this "
-                    "scale (BENCH_medium.json: 0.96x the exact kernel at n=500/8ch); "
-                    "prefer medium_mode=nearfar below the crossover");
-  }
   const bool gridded = mode != MediumMode::Exact;
+  const bool hier = mode == MediumMode::Hierarchical;
   if (gridded && txTotal > 0) {
     const telemetry::PhaseTimer t(mediumTm().buildFields);
-    const bool buildHier = mode == MediumMode::Hierarchical;
+    // NearFar walks a one-level pyramid, its base cells in row-major
+    // order, and admits every cell beyond the near radius (theta = inf).
+    const double theta = hier ? params_.hierTheta : std::numeric_limits<double>::infinity();
+    const int levels = hier ? HierGrid::kMaxLevels : 1;
     if (dynamicPositions_) {
-      buildFieldsDynamic(positions, buildHier);
+      buildFieldsDynamic(positions, theta, levels);
     } else {
-      buildFields(buildHier);
+      buildFields(theta, levels);
     }
   }
 
   const PowerKernel kern = kernel_;
   const double beta = params_.beta;
   const double noise = params_.noise;
-  const double nearR = nearRadius_;
-  const double nearR2 = nearR * nearR;
-  const double theta = params_.hierTheta;
+  const double nearR2 = nearRadius_ * nearRadius_;
   constexpr double kMinD2 = SinrParams::kMinDistance * SinrParams::kMinDistance;
   const FadingField fad = fading_;
   const bool hasFading = fad.enabled();
@@ -243,7 +224,7 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
   std::atomic<std::uint64_t> tmExactPairs{0};
   std::atomic<std::uint64_t> tmNearPairs{0};
   std::atomic<std::uint64_t> tmFarCells{0};
-  std::array<std::atomic<std::uint64_t>, kHierLevelSlots> tmHierLevels{};
+  std::array<std::atomic<std::uint64_t>, HierGrid::kMaxLevels> tmHierLevels{};
 
   // Decode attribution (telemetry/probes.h): armed runs classify every
   // failed listen into exactly one cause and sketch SINR margins, through
@@ -309,16 +290,18 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
     std::uint64_t localExactPairs = 0;
     std::uint64_t localNearPairs = 0;
     std::uint64_t localFarCells = 0;
-    std::array<std::uint64_t, kHierLevelSlots> localHierLevels{};
+    std::array<std::uint64_t, HierGrid::kMaxLevels> localHierLevels{};
     // Attribution lane-locals (dead in the disarmed instantiation).
     [[maybe_unused]] std::uint64_t localCauseNoTx = 0, localCauseDead = 0,
                                    localCauseNoise = 0, localCauseInterf = 0,
                                    localCauseTrunc = 0, localCauseTie = 0;
     QuantileSketch localMargin, localNear, localFar;
-    // Hier traversal is timed per worker range, not per listener: a clock
-    // read per listener costs more than the traversal it would measure
-    // (the per-level admission counters carry the fine-grained breakdown).
-    const bool timeHier = mode == MediumMode::Hierarchical && telemetry::enabled();
+    // geom.hier_traverse times hier mode's whole per-listener sweep (the
+    // walk and its near-ball exact sums), per worker range rather than
+    // per listener: a clock read per listener costs more than the walk
+    // it would measure (the per-level admission counters carry the
+    // fine-grained breakdown).
+    const bool timeHier = hier && telemetry::enabled();
     const std::uint64_t hierT0 = timeHier ? nowNanos() : 0;
     for (std::size_t li = rangeBegin; li < rangeEnd; ++li) {
       const NodeId v = ws_.listeners[li];
@@ -421,65 +404,33 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
             }
           }
         }
-      } else if (mode == MediumMode::NearFar) {
-        const ChannelField& f = fields_[static_cast<std::size_t>(c)];
-        // Static path: the per-channel grid built this slot.  Dynamic
-        // path: cells/coords come from the shared incremental allGrid_,
-        // member positions from the caller's drifting span.
-        const GridIndex& geom = dynamicPositions_ ? allGrid_ : f.grid;
-        // Single pass over non-empty cells: cells entirely beyond the near
-        // radius contribute count * P/d(centroid)^alpha in one kernel call;
-        // cells touching the near ball have every member summed exactly.
-        // Any transmitter that could decode is within R_T <= nearR, hence
-        // inside a touching cell, hence an exact `best` candidate.
-        for (const FarCell& cell : f.cells) {
-          if (geom.cellDist2(cell.cx, cell.cy, pv) > nearR2) {
-            ++localFarCells;
-            const double d2c = dist2(cell.centroid, pv);
-            double cellRx = static_cast<double>(cell.ids.size()) * kern(d2c > 0.0 ? d2c : kMinD2);
-            if (hasFading) {
-              // One shared draw per (slot, cell, listener): far cells are
-              // already a batched approximation, and a shared gain keeps
-              // the per-slot cost O(cells), not O(transmitters).
-              const std::uint64_t cellId =
-                  mix64((static_cast<std::uint64_t>(c) << 48) ^
-                        (static_cast<std::uint64_t>(static_cast<std::int64_t>(cell.cx)) << 24) ^
-                        static_cast<std::uint64_t>(static_cast<std::int64_t>(cell.cy)));
-              cellRx *= fad.gain(slotIdx, cellId, static_cast<std::uint64_t>(v));
-            }
-            total += cellRx;
-            if constexpr (kProbes) farTotal += cellRx;
-            continue;
-          }
-          for (const NodeId local : cell.ids) {
-            const NodeId w =
-                ws_.txIds[static_cast<std::size_t>(f.lo) + static_cast<std::size_t>(local)];
-            const Vec2 pw = dynamicPositions_ ? positions[static_cast<std::size_t>(w)]
-                                              : f.grid.point(local);
-            accumulatePair(w, pw);
-          }
-        }
       } else {
         const ChannelField& f = fields_[static_cast<std::size_t>(c)];
-        // Coarse-to-fine pyramid walk: admissible regions contribute one
-        // centroid kernel call at the coarsest level; base cells near the
-        // listener resolve through the same exact member summation as
-        // NearFar (so every decodable transmitter is a `best` candidate).
-        f.hier.forEachField(
-            pv, nearR, theta,
+        // One linear walk over the channel's pyramid (one level in NearFar
+        // mode): admissible cells contribute count * P/d(centroid)^alpha
+        // in one kernel call; base cells near the listener have every
+        // member summed exactly.  Any transmitter that could decode is
+        // within R_T <= nearRadius_, hence inside a resolved cell, hence an
+        // exact `best` candidate.
+        f.pyramid.forEachField(
+            pv,
             [&](std::int64_t count, Vec2 centroid, int level, long cx, long cy) {
               ++localFarCells;
               ++localHierLevels[static_cast<std::size_t>(level)];
               const double d2c = dist2(centroid, pv);
               double cellRx = static_cast<double>(count) * kern(d2c > 0.0 ? d2c : kMinD2);
               if (hasFading) {
-                // Shared draw per (slot, level, cell, listener); the
-                // level tag keeps draws distinct across pyramid levels.
-                const std::uint64_t cellId = mix64(
-                    (static_cast<std::uint64_t>(c) << 52) ^
-                    (static_cast<std::uint64_t>(static_cast<unsigned>(level + 1)) << 46) ^
-                    (static_cast<std::uint64_t>(static_cast<std::int64_t>(cx)) << 23) ^
-                    static_cast<std::uint64_t>(static_cast<std::int64_t>(cy)));
+                // One shared draw per (slot, cell, listener): far cells are
+                // already a batched approximation, and a shared gain keeps
+                // the per-slot cost O(cells), not O(transmitters).  Hier's
+                // key carries a level tag so draws differ across levels.
+                const auto uc = static_cast<std::uint64_t>(c);
+                const auto ux = static_cast<std::uint64_t>(cx);
+                const auto uy = static_cast<std::uint64_t>(cy);
+                const std::uint64_t cellId =
+                    hier ? mix64((uc << 52) ^ (static_cast<std::uint64_t>(level + 1) << 46) ^
+                                 (ux << 23) ^ uy)
+                         : mix64((uc << 48) ^ (ux << 24) ^ uy);
                 cellRx *= fad.gain(slotIdx, cellId, static_cast<std::uint64_t>(v));
               }
               total += cellRx;
@@ -563,7 +514,7 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
       tmExactPairs.fetch_add(localExactPairs, std::memory_order_relaxed);
       tmNearPairs.fetch_add(localNearPairs, std::memory_order_relaxed);
       tmFarCells.fetch_add(localFarCells, std::memory_order_relaxed);
-      for (int k = 0; k < kHierLevelSlots; ++k) {
+      for (int k = 0; hier && k < HierGrid::kMaxLevels; ++k) {
         if (localHierLevels[static_cast<std::size_t>(k)] > 0) {
           tmHierLevels[static_cast<std::size_t>(k)].fetch_add(
               localHierLevels[static_cast<std::size_t>(k)], std::memory_order_relaxed);
@@ -631,7 +582,7 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
     telemetry::counterAdd(mediumTm().exactPairs, tmExactPairs.load(std::memory_order_relaxed));
     telemetry::counterAdd(mediumTm().nearPairs, tmNearPairs.load(std::memory_order_relaxed));
     telemetry::counterAdd(mediumTm().farCells, tmFarCells.load(std::memory_order_relaxed));
-    for (int k = 0; k < kHierLevelSlots; ++k) {
+    for (int k = 0; k < HierGrid::kMaxLevels; ++k) {
       const std::uint64_t adm = tmHierLevels[static_cast<std::size_t>(k)].load(
           std::memory_order_relaxed);
       if (adm > 0) telemetry::counterAdd(hierLevelCounter(k), adm);

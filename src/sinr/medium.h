@@ -73,6 +73,12 @@ struct MediumStats {
 ///    NearFar's near-ball test, so Hierarchical refines NearFar by
 ///    re-batching only regions NearFar already approximated.
 ///
+/// Both gridded modes run one per-listener sweep, HierGrid::forEachField:
+/// a linear pass over the channel's occupied cells in pyramid preorder.
+/// NearFar's pyramid is its base level alone (row-major, threshold at the
+/// near radius).  The walk fixes the summation order, so both modes are
+/// bit-reproducible (locked by golden hashes).
+///
 /// All modes evaluate path loss through PowerKernel, which specializes
 /// integer/half-integer alpha to multiply/sqrt sequences (no std::pow on
 /// the hot path).  Co-located node pairs are clamped to
@@ -83,9 +89,10 @@ struct MediumStats {
 /// power is additionally multiplied by FadingField::gain(slot, tx, rx) —
 /// a pure function of the triple and the fading key, so results stay
 /// bit-reproducible per seed and independent of thread count (see
-/// sinr/fading.h).  In NearFar mode, near-field transmitters get their
-/// per-pair gain; a far cell's batched contribution shares one gain drawn
-/// per (slot, cell, listener) and counts toward interference only.  That
+/// sinr/fading.h).  In the gridded modes, near-field transmitters get
+/// their per-pair gain; a far cell's batched contribution shares one gain
+/// drawn per (slot, cell, listener), Hierarchical's key also tagged with
+/// the pyramid level, and counts toward interference only.  That
 /// truncates the fading *decode* range at nearField * R_T: a far
 /// transmitter whose lucky gain would have decoded under Exact cannot
 /// decode under NearFar (with lognormal sigma = 6 dB and nearField = 2,
@@ -93,14 +100,6 @@ struct MediumStats {
 /// Raise nearField to push that truncation out, or use Exact when
 /// fading-tail decodes matter.  Note that fading also perturbs RSSI-based
 /// senderDistance estimates — by design, that is the impairment.
-
-/// Node count below which Hierarchical mode is a regression, not an
-/// optimization: BENCH_medium.json has hier at 0.96x the *exact* kernel
-/// at n=500/8ch and behind NearFar at every measured n through 8000 —
-/// the pyramid build is per-slot overhead that only pays for itself when
-/// far-field listener work dwarfs it (≫10^4 nodes).  resolveSlot warns
-/// once when hier runs below this (see README "Choosing a medium mode").
-inline constexpr std::size_t kHierSmallNCrossover = 4000;
 
 class Medium {
  public:
@@ -161,10 +160,9 @@ class Medium {
   [[nodiscard]] bool dynamicPositions() const noexcept { return dynamicPositions_; }
 
  private:
-  /// Far-field aggregate of one grid cell (NearFar mode): the member
-  /// centroid, the member ids (channel-local), and the cell coordinates.
+  /// One occupied base cell of a channel's grid: its coordinates and
+  /// member ids (channel-local).  The pyramid's near() refs index these.
   struct FarCell {
-    Vec2 centroid;
     long cx = 0, cy = 0;
     std::span<const NodeId> ids;  // into the channel grid's CSR storage
   };
@@ -178,13 +176,16 @@ class Medium {
     /// Dynamic path: channel-local tx indices sorted by allGrid_ cell
     /// (FarCell::ids spans into this instead of the per-channel grid).
     std::vector<NodeId> sortedLocals;
-    /// Hierarchical mode: the coarse-to-fine pyramid over this channel's
-    /// occupied base cells (near() refs index into `cells`).
-    HierGrid hier;
+    /// The far-field walk over this channel's occupied base cells (near()
+    /// refs index into `cells`): the full pyramid in Hierarchical mode,
+    /// its base level alone in NearFar mode.
+    HierGrid pyramid;
   };
 
-  void buildFields(bool buildHier);
-  void buildFieldsDynamic(std::span<const Vec2> positions, bool buildHier);
+  /// `theta` and `levels` shape the pyramid: hierTheta and
+  /// HierGrid::kMaxLevels for Hierarchical, infinity and 1 for NearFar.
+  void buildFields(double theta, int levels);
+  void buildFieldsDynamic(std::span<const Vec2> positions, double theta, int levels);
 
   SinrParams params_;
   PowerKernel kernel_;

@@ -1,8 +1,8 @@
-// Exact-mode bit-reproducibility locks.
+// Medium bit-reproducibility locks.
 //
-// The golden hashes below were captured from the pre-SoA-refactor Medium
-// (the seed implementation with the scalar per-pair loop) and must never
-// change: they pin the contract that MediumMode::Exact results are
+// The Exact-mode golden hashes below were captured from the
+// pre-SoA-refactor Medium (the seed implementation with the scalar
+// per-pair loop) and must never change: they pin the contract that MediumMode::Exact results are
 // bit-identical across refactors, optimization levels, and thread counts.
 // If a change legitimately needs to break them (e.g. an intentional model
 // change), that is a documented compatibility break, not a refresh.
@@ -20,6 +20,19 @@ namespace {
 
 using test::bits;
 using test::fnv1a;
+
+/// Folds every bit of every Reception into the FNV hash `h`.
+std::uint64_t hashReceptions(std::uint64_t h, const std::vector<Reception>& rx) {
+  for (const Reception& r : rx) {
+    h = fnv1a(h, r.received ? 1 : 0);
+    h = fnv1a(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(r.msg.src)));
+    h = fnv1a(h, bits(r.totalPower));
+    h = fnv1a(h, bits(r.signalPower));
+    h = fnv1a(h, bits(r.sinr));
+    h = fnv1a(h, bits(r.senderDistance));
+  }
+  return h;
+}
 
 /// Hashes every Reception bit pattern over `slots` Exact-mode slots of a
 /// fixed workload: n=600 uniform nodes, 8% transmitters, 2% idlers.  The
@@ -54,14 +67,7 @@ std::uint64_t hashExactSlots(double alpha, int channels, FadingModel fading, int
   std::uint64_t h = 1469598103934665603ull;
   for (int s = 0; s < slots; ++s) {
     medium.resolveSlot(pos, intents, rx);
-    for (const Reception& r : rx) {
-      h = fnv1a(h, r.received ? 1 : 0);
-      h = fnv1a(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(r.msg.src)));
-      h = fnv1a(h, bits(r.totalPower));
-      h = fnv1a(h, bits(r.signalPower));
-      h = fnv1a(h, bits(r.sinr));
-      h = fnv1a(h, bits(r.senderDistance));
-    }
+    h = hashReceptions(h, rx);
   }
   return h;
 }
@@ -89,6 +95,109 @@ TEST(MediumGolden, ExactCompositeFadingAlpha4) {
 
 TEST(MediumGolden, ExactThreadedMatchesSerialGolden) {
   EXPECT_EQ(hashExactSlots(3.0, 4, FadingModel::None, 3, 4), 0x67ab07fc693655a4ull);
+}
+
+/// Gridded-mode counterpart of hashExactSlots: n=1500 uniform nodes on a
+/// 12 x 12 field (R_T = 1, so the near radius is 2 and the pyramid has
+/// four levels), 8% transmitters on two channels.  With `dynamic` the
+/// medium takes its incremental-grid path and every node drifts by up to
+/// 0.05 per slot.  The recipe must stay frozen, like hashExactSlots'.
+std::uint64_t hashGriddedSlots(MediumMode mode, bool dynamic, FadingModel fading, int threads,
+                               double theta = 0.5) {
+  SinrParams p;
+  p = p.withRange(1.0);
+  p.mediumMode = mode;
+  p.hierTheta = theta;
+  p.fading.model = fading;
+  Rng rng(24680);
+  const int n = 1500;
+  const int channels = 2;
+  auto pos = deployUniformSquare(n, 12.0, rng);
+  std::vector<Intent> intents(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    const auto c = static_cast<ChannelId>(rng.below(static_cast<std::uint64_t>(channels)));
+    if (rng.bernoulli(0.08)) {
+      Message msg;
+      msg.type = MsgType::Data;
+      msg.src = v;
+      intents[static_cast<std::size_t>(v)] = Intent::transmit(c, msg);
+    } else {
+      intents[static_cast<std::size_t>(v)] = Intent::listen(c);
+    }
+  }
+  Medium medium(p, channels, threads);
+  medium.setDynamicPositions(dynamic);
+  medium.seedFading(987654321ull);
+  std::vector<Reception> rx;
+  std::uint64_t h = 1469598103934665603ull;
+  for (int s = 0; s < 4; ++s) {
+    if (dynamic && s > 0) {
+      for (Vec2& q : pos) q = q + Vec2{rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)};
+    }
+    medium.resolveSlot(pos, intents, rx);
+    h = hashReceptions(h, rx);
+  }
+  return h;
+}
+
+// NearFar and Hierarchical are approximations, but deterministic ones:
+// the far-field walk's summation order is part of the contract, so these
+// hashes pin both modes bit for bit across traversal refactors, the
+// static and incremental (dynamic-position) field builds, fading, and
+// thread counts.
+TEST(MediumGolden, NearFarStatic) {
+  EXPECT_EQ(hashGriddedSlots(MediumMode::NearFar, false, FadingModel::None, 1),
+            0x484c3a71843d0b7bull);
+}
+
+TEST(MediumGolden, NearFarDynamic) {
+  EXPECT_EQ(hashGriddedSlots(MediumMode::NearFar, true, FadingModel::None, 1),
+            0x23d7346c77365b8full);
+}
+
+TEST(MediumGolden, NearFarRayleighStaticAndDynamic) {
+  EXPECT_EQ(hashGriddedSlots(MediumMode::NearFar, false, FadingModel::Rayleigh, 1),
+            0xd84e957960d52469ull);
+  EXPECT_EQ(hashGriddedSlots(MediumMode::NearFar, true, FadingModel::Rayleigh, 1),
+            0xa39363eaf142eb31ull);
+}
+
+TEST(MediumGolden, NearFarThreadedMatchesSerialGolden) {
+  EXPECT_EQ(hashGriddedSlots(MediumMode::NearFar, false, FadingModel::None, 4),
+            0x484c3a71843d0b7bull);
+  EXPECT_EQ(hashGriddedSlots(MediumMode::NearFar, true, FadingModel::Rayleigh, 4),
+            0xa39363eaf142eb31ull);
+}
+
+TEST(MediumGolden, HierStatic) {
+  EXPECT_EQ(hashGriddedSlots(MediumMode::Hierarchical, false, FadingModel::None, 1),
+            0x9e0ad5d415d505a3ull);
+}
+
+TEST(MediumGolden, HierDynamic) {
+  EXPECT_EQ(hashGriddedSlots(MediumMode::Hierarchical, true, FadingModel::None, 1),
+            0x776eab28eef8860cull);
+}
+
+TEST(MediumGolden, HierRayleighStaticAndDynamic) {
+  EXPECT_EQ(hashGriddedSlots(MediumMode::Hierarchical, false, FadingModel::Rayleigh, 1),
+            0x3bb691c3f7f6fcd9ull);
+  EXPECT_EQ(hashGriddedSlots(MediumMode::Hierarchical, true, FadingModel::Rayleigh, 1),
+            0xf736535319e05cf8ull);
+}
+
+TEST(MediumGolden, HierThreadedMatchesSerialGolden) {
+  EXPECT_EQ(hashGriddedSlots(MediumMode::Hierarchical, false, FadingModel::None, 4),
+            0x9e0ad5d415d505a3ull);
+  EXPECT_EQ(hashGriddedSlots(MediumMode::Hierarchical, true, FadingModel::Rayleigh, 4),
+            0xf736535319e05cf8ull);
+}
+
+TEST(MediumGolden, HierNarrowTheta) {
+  // theta = 0.3 lifts every level's admissibility threshold above the
+  // near radius, so some base cells beyond the near ball resolve exactly.
+  EXPECT_EQ(hashGriddedSlots(MediumMode::Hierarchical, false, FadingModel::None, 1, 0.3),
+            0x4403df5b3f3722e3ull);
 }
 
 // The SoA sweep evaluates path loss through PowerKernel::batch; the
