@@ -6,19 +6,12 @@
 //   - nearfar: grid-batched far-field approximation (MediumMode::NearFar)
 //   - hier:    pyramid-batched far field (MediumMode::Hierarchical)
 //   - threads: exact summation with the per-listener loop parallelized
-// Plus the mobility-era cases:
-//   - grid_rebuild / grid_update: GridIndex full re-sort vs the
-//     incremental update() path over a drifting point set
-//   - static / dynamic NearFar resolveSlot at n=32k: a mobile run
-//     (positions drift every slot, incremental-grid path) must stay
-//     within 2x of the equivalent static run
 // Writes BENCH_medium.json so future changes can diff the perf trajectory.
 
 #include <algorithm>
 #include <thread>
 
 #include "bench_common.h"
-#include "mobility/mobility.h"
 
 namespace mcs {
 namespace {
@@ -123,63 +116,13 @@ struct Measured {
   std::uint64_t decodesPerSlot = 0;
 };
 
-/// Bounding box of a point set — the drift clamp target.  Clamping to
-/// the *initial sample's* box (not the deployment's [0, side]^2) matches
-/// production mobility, where reflect() confines nodes to the deployed
-/// box: GridIndex::update never re-anchors, so the timed region measures
-/// the pure incremental path.
-struct DriftBox {
-  double loX, loY, hiX, hiY;
-  explicit DriftBox(const std::vector<Vec2>& pts)
-      : loX(pts[0].x), loY(pts[0].y), hiX(pts[0].x), hiY(pts[0].y) {
-    for (const Vec2& p : pts) {
-      loX = std::min(loX, p.x);
-      loY = std::min(loY, p.y);
-      hiX = std::max(hiX, p.x);
-      hiY = std::max(hiY, p.y);
-    }
-  }
-};
-
-/// One bounded random-walk step per point (the mobility drift shape).
-void driftPoints(std::vector<Vec2>& pts, const DriftBox& box, double step, Rng& rng) {
-  for (Vec2& p : pts) {
-    p.x = std::clamp(p.x + step * (2.0 * rng.uniform() - 1.0), box.loX, box.hiX);
-    p.y = std::clamp(p.y + step * (2.0 * rng.uniform() - 1.0), box.loY, box.hiY);
-  }
-}
-
-/// Index maintenance throughput (indexings/sec) over a drifting point
-/// set: `incremental` uses GridIndex::update (points move between cells
-/// in place), otherwise a full rebuild every step.  The drift itself is
-/// excluded from the timed region.
-double measureIndexing(bool incremental, int n, double side, double cellSize, double step,
-                       std::uint64_t seed, double budget) {
-  Rng rng(seed);
-  std::vector<Vec2> pts = deployUniformSquare(n, side, rng);
-  const DriftBox box(pts);
-  GridIndex index(pts, cellSize);
-  double elapsed = 0.0;
-  std::uint64_t steps = 0;
-  while (elapsed < budget) {
-    driftPoints(pts, box, step, rng);
-    const double t0 = nowSec();
-    if (incremental) {
-      index.update(pts);
-    } else {
-      index.rebuild(pts, cellSize);
-    }
-    elapsed += nowSec() - t0;
-    ++steps;
-  }
-  return static_cast<double>(steps) / elapsed;
-}
-
-/// Runs `resolve()` repeatedly for at least `budget` seconds (after one
-/// warm-up slot) and returns throughput.  `decodesBefore`/`decodesAfter`
-/// read the cumulative decode counter around the timed region.
+/// Runs `resolve()` repeatedly for at least `budget` seconds and at least
+/// `minSlots` slots (after one warm-up slot) and returns throughput.
+/// `decodeCount` reads the cumulative decode counter around the timed
+/// region.
 template <class Resolve, class DecodeCount>
-Measured measure(Resolve&& resolve, DecodeCount&& decodeCount, double budget) {
+Measured measure(Resolve&& resolve, DecodeCount&& decodeCount, double budget,
+                 std::uint64_t minSlots = 1) {
   resolve();  // warm-up: scratch allocation, page faults
   const std::uint64_t d0 = decodeCount();
   const double t0 = nowSec();
@@ -189,7 +132,7 @@ Measured measure(Resolve&& resolve, DecodeCount&& decodeCount, double budget) {
     resolve();
     ++slots;
     elapsed = nowSec() - t0;
-  } while (elapsed < budget);
+  } while (elapsed < budget || slots < minSlots);
   Measured m;
   m.slotsPerSec = static_cast<double>(slots) / elapsed;
   const std::uint64_t d = decodeCount() - d0;
@@ -298,10 +241,11 @@ int main(int argc, char** argv) {
   // Exact mode is omitted (O(n * tx) is ~6e9 kernel calls per slot at this
   // size); the point of the tier is that the hierarchical pyramid resolves
   // million-node slots at a pace NearFar's O(occupied cells) per listener
-  // cannot match.  Slot counts are tiny (warm-up + budget), so this stays
-  // CI-runnable, and a gate: the run fails when hier is not at least
-  // kHugeMinHierVsNearFar times NearFar's pace.
+  // cannot match.  Slot counts are tiny (warm-up + kHugeMinSlots timed
+  // slots per mode), so this stays CI-runnable, and a gate: the run fails
+  // when hier is not at least kHugeMinHierVsNearFar times NearFar's pace.
   constexpr double kHugeMinHierVsNearFar = 1.5;
+  constexpr std::uint64_t kHugeMinSlots = 3;
   bool hugeGateFailed = false;
   if (args.getBool("huge")) {
     const int n = 1'000'000;
@@ -318,12 +262,12 @@ int main(int argc, char** argv) {
     Medium nearFar(nearFarParams, channels);
     const Measured nearFarM =
         measure([&] { nearFar.resolveSlot(w.pts, w.intents, rx); },
-                [&] { return nearFar.stats().decodes; }, budget);
+                [&] { return nearFar.stats().decodes; }, budget, kHugeMinSlots);
 
     Medium hier(hierParams, channels);
     const Measured hierM =
         measure([&] { hier.resolveSlot(w.pts, w.intents, rx); },
-                [&] { return hier.stats().decodes; }, budget);
+                [&] { return hier.stats().decodes; }, budget, kHugeMinSlots);
 
     const double ratio = hierM.slotsPerSec / nearFarM.slotsPerSec;
     row("%-8s %4s %14s %12s %12s %10s", "n", "F", "variant", "slots/s", "dec/slot",
@@ -351,82 +295,6 @@ int main(int argc, char** argv) {
                    kHugeMinHierVsNearFar);
       hugeGateFailed = true;
     }
-  }
-
-  // --- Mobility cases ------------------------------------------------------
-  const double mobilityStep = args.getDouble("mobility-step", 0.002);
-
-  // GridIndex maintenance over a drifting point set: the incremental
-  // update() (points move between cells, geometry retained) vs a full
-  // rebuild every step.
-  header("GridIndex over drifting points (indexings/sec)",
-         "incremental update() vs full rebuild; drift excluded from timing");
-  row("%-6s %12s %12s %10s", "n", "rebuild/s", "update/s", "ratio");
-  for (const int n : {8000, 32000}) {
-    const double side = std::sqrt(static_cast<double>(n) / density);
-    const double cellSize = 1.0;  // the NearFar medium's cell (nearField * R_T / 2)
-    const double rebuildPerSec =
-        measureIndexing(false, n, side, cellSize, mobilityStep, seed, budget);
-    const double updatePerSec =
-        measureIndexing(true, n, side, cellSize, mobilityStep, seed, budget);
-    const double ratio = updatePerSec / rebuildPerSec;
-    row("%-6d %12.1f %12.1f %9.2fx", n, rebuildPerSec, updatePerSec, ratio);
-    report.row()
-        .col("n", n)
-        .col("variant", "grid_rebuild")
-        .col("indexings_per_sec", rebuildPerSec);
-    report.row()
-        .col("n", n)
-        .col("variant", "grid_update")
-        .col("indexings_per_sec", updatePerSec)
-        .col("update_vs_rebuild", ratio);
-  }
-
-  // Dynamic (mobile) vs static slot resolution at n=32k under NearFar:
-  // the incremental-grid path must keep a drifting run within 2x of the
-  // equivalent static run.  The dynamic lambda pays the realistic mobile
-  // cost: a per-slot position drift plus the incremental index update.
-  {
-    const int n = 32000;
-    const int channels = 8;
-    header("Dynamic vs static resolveSlot, n=32000 F=8 (NearFar)",
-           "mobile runs (drifting positions, incremental grid) within 2x of static");
-    const Workload w = makeWorkload(n, channels, density, seed);
-    const DriftBox box(w.pts);
-    std::vector<Reception> rx;
-
-    Medium staticMed(nearFarParams, channels);
-    const Measured staticM =
-        measure([&] { staticMed.resolveSlot(w.pts, w.intents, rx); },
-                [&] { return staticMed.stats().decodes; }, budget);
-
-    Medium dynamicMed(nearFarParams, channels);
-    dynamicMed.setDynamicPositions(true);
-    std::vector<Vec2> drifting = w.pts;
-    Rng driftRng(seed ^ 0x6d6f62696cULL);
-    const Measured dynamicM =
-        measure(
-            [&] {
-              driftPoints(drifting, box, mobilityStep, driftRng);
-              dynamicMed.resolveSlot(drifting, w.intents, rx);
-            },
-            [&] { return dynamicMed.stats().decodes; }, budget);
-
-    const double ratio = dynamicM.slotsPerSec / staticM.slotsPerSec;
-    row("%-6s %12s %12s %10s", "", "static/s", "dynamic/s", "ratio");
-    row("%-6d %12.1f %12.1f %9.2fx", n, staticM.slotsPerSec, dynamicM.slotsPerSec, ratio);
-    report.row()
-        .col("n", n)
-        .col("channels", channels)
-        .col("variant", "nearfar_static")
-        .col("slots_per_sec", staticM.slotsPerSec);
-    report.row()
-        .col("n", n)
-        .col("channels", channels)
-        .col("variant", "nearfar_dynamic")
-        .col("slots_per_sec", dynamicM.slotsPerSec)
-        .col("dynamic_vs_static", ratio);
-    report.meta("dynamic_vs_static", ratio);
   }
 
   if (!finishTelemetryCli(args, nowSec() - benchT0)) return 1;

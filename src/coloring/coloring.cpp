@@ -183,9 +183,11 @@ ColoringResult runColoring(Simulator& sim, const AggregationStructure& s) {
                 const int k = heapOf(s, v);
                 if (k < 0 || !tdma.active(v, round)) return Intent::idle();
                 // Parents with a known range announce the child of this
-                // parity at this level.
+                // parity at this level.  A leaf's child index can run past
+                // childCount's last index F + 1: no such child exists.
                 const int childK = 2 * k + parity;
                 if (rangeLo[vi] >= 0 && childK >= 1 && heapLevel(childK) == level &&
+                    static_cast<std::size_t>(childK) < childCount[vi].size() &&
                     childCount[vi][static_cast<std::size_t>(childK)] > 0 &&
                     sim.rng(v).bernoulli(0.9)) {
                   Message m;

@@ -4,24 +4,7 @@
 #include <cassert>
 #include <cmath>
 
-#include "telemetry/telemetry.h"
-
 namespace mcs {
-
-namespace {
-
-struct GridTelemetry {
-  telemetry::TimerId update = telemetry::timerId("geom.grid_update");
-  telemetry::CounterId updates = telemetry::counterId("geom.grid_updates");
-  telemetry::CounterId fallbacks = telemetry::counterId("geom.grid_rebuild_fallbacks");
-};
-
-const GridTelemetry& gridTm() {
-  static const GridTelemetry ids;
-  return ids;
-}
-
-}  // namespace
 
 GridIndex::GridIndex(std::span<const Vec2> points, double cellSize) {
   rebuild(points, cellSize);
@@ -57,13 +40,8 @@ void GridIndex::rebuild(std::span<const Vec2> points, double cellSize) {
     assert(cell >= 0);
     cellOfPoint_[i] = cell;
   }
-  fillCells();
-}
-
-void GridIndex::fillCells() {
-  // Counting sort of points into cells (CSR layout) from cellOfPoint_,
-  // preserving id order per cell.  Shared by rebuild() and update() so
-  // the layout cannot diverge between the two paths.
+  // Counting sort of points into cells (CSR layout), preserving id order
+  // per cell.
   start_.assign(cells_ + 1, 0);
   for (std::size_t i = 0; i < points_.size(); ++i) {
     ++start_[static_cast<std::size_t>(cellOfPoint_[i]) + 1];
@@ -74,48 +52,6 @@ void GridIndex::fillCells() {
   for (std::size_t i = 0; i < points_.size(); ++i) {
     ids_[cursor_[static_cast<std::size_t>(cellOfPoint_[i])]++] = static_cast<NodeId>(i);
   }
-}
-
-void GridIndex::ensure(std::span<const Vec2> points, double cellSize) {
-  if (points_.size() != points.size() || cellSize_ != cellSize) {
-    rebuild(points, cellSize);
-  } else {
-    update(points);
-  }
-}
-
-bool GridIndex::update(std::span<const Vec2> points) {
-  const telemetry::PhaseTimer timer(gridTm().update);
-  telemetry::counterAdd(gridTm().updates);
-  if (points.size() != points_.size() || cells_ == 0) {
-    telemetry::counterAdd(gridTm().fallbacks);
-    rebuild(points, cellSize_ > 0.0 ? cellSize_ : 1.0);
-    return false;
-  }
-  // Pass 1: recompute cell assignments against the retained geometry.
-  // Any point outside the original bounding box forces the fallback (the
-  // box must re-anchor, which moves every cell).
-  newCellOf_.resize(points.size());
-  bool moved = false;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto [cx, cy] = cellOf(points[i]);
-    const long cell = cellIndex(cx, cy);
-    if (cell < 0) {
-      telemetry::counterAdd(gridTm().fallbacks);
-      rebuild(points, cellSize_);
-      return false;
-    }
-    newCellOf_[i] = cell;
-    moved = moved || cell != cellOfPoint_[i];
-  }
-  points_.assign(points.begin(), points.end());
-  if (!moved) return true;  // same partition: positions refreshed in place
-
-  // Pass 2: move points between cells — a counting re-sort over the
-  // retained grid (no bounding-box rescan).
-  cellOfPoint_.swap(newCellOf_);
-  fillCells();
-  return true;
 }
 
 std::pair<long, long> GridIndex::cellOf(Vec2 p) const noexcept {

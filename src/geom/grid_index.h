@@ -11,7 +11,10 @@
 ///
 /// Used to build the communication graph and to answer "all points within
 /// radius r of p" queries in O(points in the neighborhood) time.  The cell
-/// size is chosen at build time (typically the query radius).
+/// size is chosen at build time (typically the query radius).  Moving
+/// points are re-indexed with rebuild(): the Medium rebuilds its
+/// per-channel grids every slot, and the mobility drift sampler only when
+/// a node leaves its candidate-list skin.
 namespace mcs {
 
 class GridIndex {
@@ -24,24 +27,6 @@ class GridIndex {
   /// Re-indexes this instance over a new point set, reusing the internal
   /// buffers' capacity (for callers that rebuild every slot).
   void rebuild(std::span<const Vec2> points, double cellSize);
-
-  /// Incremental re-index over a same-size point set with bounded drift
-  /// (the mobility hot path): grid geometry (origin, extents, cell size)
-  /// is retained and only points whose cell assignment changed are moved
-  /// between cells — when nothing moved cells, the update is a position
-  /// copy.  Falls back to a full rebuild (returning false) when the point
-  /// count changed, the index is empty, or any point left the original
-  /// bounding box.  Either way the index is valid afterwards and query
-  /// results are identical to a fresh rebuild over `points` (cell
-  /// partitions may differ after a fallback re-anchors the box; ball
-  /// queries never do).
-  bool update(std::span<const Vec2> points);
-
-  /// Persistent-index maintenance in one call: rebuild() when the point
-  /// count or cell size changed, update() otherwise.  The idiom of every
-  /// per-slot mobility consumer (Medium's dynamic NearFar grid, the
-  /// drift-metric sampler).
-  void ensure(std::span<const Vec2> points, double cellSize);
 
   /// Appends the ids of all points within distance `radius` of `center`
   /// (inclusive) to `out`.  `out` is cleared first.
@@ -109,13 +94,9 @@ class GridIndex {
     return points_[static_cast<std::size_t>(id)];
   }
 
-  /// Flat cell index of an indexed point (valid after rebuild/update).
+  /// Flat cell index of an indexed point (row-major: cy * nx + cx).
   [[nodiscard]] long cellOfId(NodeId id) const noexcept {
     return cellOfPoint_[static_cast<std::size_t>(id)];
-  }
-  /// (cx, cy) coordinates of a flat cell index.
-  [[nodiscard]] std::pair<long, long> cellCoords(long cell) const noexcept {
-    return {cell % nx_, cell / nx_};
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
@@ -133,7 +114,6 @@ class GridIndex {
   /// the box edges can be off by, far below any cell size that matters.
   static constexpr double kBallSlack = 1e-9;
 
-  void fillCells();
   [[nodiscard]] std::pair<long, long> cellOf(Vec2 p) const noexcept;
   /// Flat cell index, or -1 when outside the indexed bounding box.
   [[nodiscard]] long cellIndex(long cx, long cy) const noexcept;
@@ -141,8 +121,7 @@ class GridIndex {
   std::vector<Vec2> points_;
   std::vector<NodeId> ids_;         // point ids sorted by cell
   std::vector<std::size_t> start_;  // CSR offsets per cell, size cells_+1
-  std::vector<long> cellOfPoint_;    // cell of each point (maintained by update)
-  std::vector<long> newCellOf_;      // update scratch
+  std::vector<long> cellOfPoint_;    // cell of each point
   std::vector<std::size_t> cursor_;  // rebuild scratch
   double cellSize_ = 0.0;
   double minX_ = 0.0, minY_ = 0.0;

@@ -218,8 +218,8 @@ void TopologyDynamics::advanceMotion(std::uint64_t slot, std::vector<Vec2>& posi
           // rate.  A hard projection would teleport members whose
           // initial offset exceeds the tether (e.g. a uniform deployment
           // with near-coincident group references), breaking the
-          // bounded-per-slot-displacement premise the incremental
-          // GridIndex path and the drift sampler's candidate list rest on.
+          // bounded-per-slot-displacement premise the drift sampler's
+          // candidate list rests on.
           const double pull = std::min(memberStep, len - m.groupRadius);
           offset = offset * ((len - pull) / len);
         }
@@ -291,9 +291,9 @@ std::size_t TopologyDynamics::rebuildCandidates(std::span<const Vec2> positions)
   const double r2 = graphRadius_ * graphRadius_;
   const double reach = (1.0 + detail::kSamplerSkin) * graphRadius_;
   anchor_.assign(positions.begin(), positions.end());
-  // Persistent index over ALL nodes: a dead node keeps its position, and
-  // may revive before the next rebuild, so its pairs stay candidates.
-  grid_.ensure(positions, reach);
+  // Index over ALL nodes: a dead node keeps its position, and may revive
+  // before the next rebuild, so its pairs stay candidates.
+  grid_.rebuild(positions, reach);
   candidates_.clear();
   std::size_t edges = 0;
   const auto n = static_cast<NodeId>(positions.size());

@@ -107,55 +107,6 @@ void Medium::buildFields(double theta, int levels) {
   }
 }
 
-void Medium::buildFieldsDynamic(std::span<const Vec2> positions, double theta, int levels) {
-  // One persistent grid over every node position, advanced incrementally:
-  // bounded per-slot displacement moves points between cells inside
-  // GridIndex::update; leaving the box falls back to a rebuild there.
-  allGrid_.ensure(positions, nearRadius_ * 0.5);
-
-  fields_.resize(static_cast<std::size_t>(numChannels_));
-  for (int c = 0; c < numChannels_; ++c) {
-    ChannelField& f = fields_[static_cast<std::size_t>(c)];
-    f.lo = ws_.bucketBegin(static_cast<ChannelId>(c));
-    const std::int32_t hi = ws_.bucketEnd(static_cast<ChannelId>(c));
-    f.cells.clear();
-    f.sortedLocals.clear();
-    f.pyramid.clear();
-    if (f.lo == hi) continue;
-
-    // Group this channel's transmitters by their shared-grid cell.
-    cellLocal_.clear();
-    for (std::int32_t i = f.lo; i < hi; ++i) {
-      const NodeId w = ws_.txIds[static_cast<std::size_t>(i)];
-      cellLocal_.emplace_back(allGrid_.cellOfId(w), static_cast<NodeId>(i - f.lo));
-    }
-    std::sort(cellLocal_.begin(), cellLocal_.end());
-    f.sortedLocals.reserve(cellLocal_.size());
-    for (const auto& [cell, local] : cellLocal_) f.sortedLocals.push_back(local);
-
-    hierBase_.clear();
-    std::size_t i = 0;
-    while (i < cellLocal_.size()) {
-      const long cell = cellLocal_[i].first;
-      std::size_t j = i;
-      Vec2 sum{};
-      while (j < cellLocal_.size() && cellLocal_[j].first == cell) {
-        const NodeId w = ws_.txIds[static_cast<std::size_t>(f.lo) +
-                                   static_cast<std::size_t>(cellLocal_[j].second)];
-        sum = sum + positions[static_cast<std::size_t>(w)];
-        ++j;
-      }
-      const auto [cx, cy] = allGrid_.cellCoords(cell);
-      hierBase_.push_back({cx, cy, sum.x, sum.y, static_cast<std::int64_t>(j - i),
-                           static_cast<std::int32_t>(f.cells.size())});
-      f.cells.push_back({cx, cy, std::span<const NodeId>(f.sortedLocals.data() + i, j - i)});
-      i = j;
-    }
-    f.pyramid.build(allGrid_.minX(), allGrid_.minY(), allGrid_.cellSize(), allGrid_.nxCells(),
-                    allGrid_.nyCells(), hierBase_, nearRadius_, theta, levels);
-  }
-}
-
 void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent> intents,
                          std::vector<Reception>& out) {
   const std::size_t n = positions.size();
@@ -198,12 +149,7 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
     // NearFar walks a one-level pyramid, its base cells in row-major
     // order, and admits every cell beyond the near radius (theta = inf).
     const double theta = hier ? params_.hierTheta : std::numeric_limits<double>::infinity();
-    const int levels = hier ? HierGrid::kMaxLevels : 1;
-    if (dynamicPositions_) {
-      buildFieldsDynamic(positions, theta, levels);
-    } else {
-      buildFields(theta, levels);
-    }
+    buildFields(theta, hier ? HierGrid::kMaxLevels : 1);
   }
 
   const PowerKernel kern = kernel_;
@@ -253,16 +199,13 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
   // have decoded under Exact semantics and the scan is skipped entirely.
   const auto farBestExact = [&](ChannelId c, Vec2 pv, NodeId v) {
     const ChannelField& f = fields_[static_cast<std::size_t>(c)];
-    const GridIndex& geom = dynamicPositions_ ? allGrid_ : f.grid;
     double farBest = -1.0;
     for (const FarCell& cell : f.cells) {
-      if (geom.cellDist2(cell.cx, cell.cy, pv) <= nearR2) continue;
+      if (f.grid.cellDist2(cell.cx, cell.cy, pv) <= nearR2) continue;
       for (const NodeId local : cell.ids) {
         const NodeId w =
             ws_.txIds[static_cast<std::size_t>(f.lo) + static_cast<std::size_t>(local)];
-        const Vec2 pw = dynamicPositions_ ? positions[static_cast<std::size_t>(w)]
-                                          : f.grid.point(local);
-        const double d2raw = dist2(pw, pv);
+        const double d2raw = dist2(f.grid.point(local), pv);
         double rx = kern(d2raw > 0.0 ? d2raw : kMinD2);
         rx *= fad.gain(slotIdx, static_cast<std::uint64_t>(w), static_cast<std::uint64_t>(v));
         if (rx > farBest) farBest = rx;
@@ -439,11 +382,9 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
             [&](std::int32_t ref) {
               const FarCell& cell = f.cells[static_cast<std::size_t>(ref)];
               for (const NodeId local : cell.ids) {
-                const NodeId w =
-                    ws_.txIds[static_cast<std::size_t>(f.lo) + static_cast<std::size_t>(local)];
-                const Vec2 pw = dynamicPositions_ ? positions[static_cast<std::size_t>(w)]
-                                                  : f.grid.point(local);
-                accumulatePair(w, pw);
+                accumulatePair(
+                    ws_.txIds[static_cast<std::size_t>(f.lo) + static_cast<std::size_t>(local)],
+                    f.grid.point(local));
               }
             });
       }

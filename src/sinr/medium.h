@@ -77,7 +77,10 @@ struct MediumStats {
 /// a linear pass over the channel's occupied cells in pyramid preorder.
 /// NearFar's pyramid is its base level alone (row-major, threshold at the
 /// near radius).  The walk fixes the summation order, so both modes are
-/// bit-reproducible (locked by golden hashes).
+/// bit-reproducible (locked by golden hashes).  Every slot builds its
+/// fields afresh from that slot's transmitter coordinates, so a Medium
+/// keeps no position state between slots and moving nodes need no mode
+/// of their own.
 ///
 /// All modes evaluate path loss through PowerKernel, which specializes
 /// integer/half-integer alpha to multiply/sqrt sequences (no std::pow on
@@ -146,19 +149,6 @@ class Medium {
   /// identically with or without it.
   void setAliveMask(std::vector<std::uint8_t> alive) { aliveMask_ = std::move(alive); }
 
-  /// Declares that callers pass *drifting* positions (mobility).  In
-  /// NearFar and Hierarchical modes this switches buildFields to the
-  /// incremental path: one persistent GridIndex over all node positions,
-  /// advanced per slot via GridIndex::update (bounded displacement moves
-  /// points between cells; full rebuild fallback), with per-channel far
-  /// cells (and, in Hierarchical mode, the pyramid) grouped off that
-  /// shared index instead of rebuilding a per-channel grid from each
-  /// slot's transmitter set.  Static runs keep the original per-channel
-  /// path bit-for-bit; Exact mode ignores the flag entirely (positions
-  /// are always read fresh).
-  void setDynamicPositions(bool on) noexcept { dynamicPositions_ = on; }
-  [[nodiscard]] bool dynamicPositions() const noexcept { return dynamicPositions_; }
-
  private:
   /// One occupied base cell of a channel's grid: its coordinates and
   /// member ids (channel-local).  The pyramid's near() refs index these.
@@ -170,12 +160,9 @@ class Medium {
   /// Per-channel spatial structure rebuilt each slot in NearFar and
   /// Hierarchical modes.
   struct ChannelField {
-    GridIndex grid;          // over this channel's transmitter positions (static path)
-    std::int32_t lo = 0;     // slice start in the workspace's txIds
+    GridIndex grid;       // over this channel's transmitter positions
+    std::int32_t lo = 0;  // slice start in the workspace's txIds
     std::vector<FarCell> cells;
-    /// Dynamic path: channel-local tx indices sorted by allGrid_ cell
-    /// (FarCell::ids spans into this instead of the per-channel grid).
-    std::vector<NodeId> sortedLocals;
     /// The far-field walk over this channel's occupied base cells (near()
     /// refs index into `cells`): the full pyramid in Hierarchical mode,
     /// its base level alone in NearFar mode.
@@ -185,7 +172,6 @@ class Medium {
   /// `theta` and `levels` shape the pyramid: hierTheta and
   /// HierGrid::kMaxLevels for Hierarchical, infinity and 1 for NearFar.
   void buildFields(double theta, int levels);
-  void buildFieldsDynamic(std::span<const Vec2> positions, double theta, int levels);
 
   SinrParams params_;
   PowerKernel kernel_;
@@ -208,12 +194,6 @@ class Medium {
 
   /// Attribution-only liveness mask (see setAliveMask); empty = alive.
   std::vector<std::uint8_t> aliveMask_;
-
-  // Incremental NearFar path (setDynamicPositions): a persistent index
-  // over ALL node positions, updated in place each slot.
-  bool dynamicPositions_ = false;
-  GridIndex allGrid_;
-  std::vector<std::pair<long, NodeId>> cellLocal_;  // (cell, local) scratch
 };
 
 }  // namespace mcs

@@ -57,8 +57,8 @@ TEST(GridIndex, BallQueryMatchesBruteForceInScanOrder) {
   // result must still be exactly the brute-force set, in the unpruned
   // scan's order: cells row-major, ids ascending within a cell.  The
   // cases put points exactly on the rim and on cell edges, far from the
-  // origin (where the box edges round), and query after incremental
-  // updates as well as rebuilds.
+  // origin (where the box edges round), and query again after the
+  // uniform points drift and the index is rebuilt.
   const auto check = [](const GridIndex& grid, std::span<const Vec2> pts, Vec2 c, double r) {
     std::vector<NodeId> want;
     for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -114,12 +114,13 @@ TEST(GridIndex, BallQueryMatchesBruteForceInScanOrder) {
           check(grid, pts, c, rng.uniform(0.0, 1.5));
           hits += grid.ball(a, std::sqrt(dist2(a, b))).size();
         }
-        // Drift inside the box keeps the geometry: the update path.
+        // Drift inside the lattice's box keeps the geometry, so the
+        // near-edge points stay near edges after the rebuild.
         for (std::size_t i = fixed; i < edgeBegin; ++i) {
           pts[i] = {std::clamp(pts[i].x + rng.uniform(-0.1, 0.1), offset, offset + 3.0),
                     std::clamp(pts[i].y + rng.uniform(-0.1, 0.1), offset, offset + 3.0)};
         }
-        grid.update(pts);
+        grid.rebuild(pts, cellSize);
       }
     }
   }
@@ -137,146 +138,6 @@ TEST(GridIndex, QueryOutsideBounds) {
   const GridIndex grid(pts, 0.5);
   EXPECT_TRUE(grid.ball({100, 100}, 0.4).empty());
   EXPECT_EQ(grid.ball({100, 100}, 200.0).size(), 2u);
-}
-
-/// Sorted ball answers for every point of a fixed probe set.
-std::vector<std::vector<NodeId>> probeBalls(const GridIndex& grid, double radius) {
-  std::vector<std::vector<NodeId>> out;
-  const std::vector<Vec2> probes{{0.1, 0.1}, {1.0, 1.0}, {1.9, 0.3}, {0.5, 1.7}};
-  for (const Vec2 c : probes) {
-    auto ids = grid.ball(c, radius);
-    std::sort(ids.begin(), ids.end());
-    out.push_back(std::move(ids));
-  }
-  return out;
-}
-
-TEST(GridIndex, IncrementalUpdateMatchesRebuild) {
-  // Bounded drift inside the original bounding box: the incremental path
-  // must stay incremental (return true) and answer every query exactly
-  // like a fresh rebuild over the same geometry, slot after slot.
-  Rng rng(99);
-  std::vector<Vec2> pts = deployUniformSquare(400, 2.0, rng);
-  double loX = 1e30, loY = 1e30, hiX = -1e30, hiY = -1e30;
-  for (const Vec2& p : pts) {
-    loX = std::min(loX, p.x);
-    loY = std::min(loY, p.y);
-    hiX = std::max(hiX, p.x);
-    hiY = std::max(hiY, p.y);
-  }
-  GridIndex incremental(pts, 0.3);
-  GridIndex rebuilt(pts, 0.3);
-  for (int slot = 0; slot < 40; ++slot) {
-    for (Vec2& p : pts) {
-      p.x = std::clamp(p.x + rng.uniform(-0.02, 0.02), loX, hiX);
-      p.y = std::clamp(p.y + rng.uniform(-0.02, 0.02), loY, hiY);
-    }
-    EXPECT_TRUE(incremental.update(pts));
-    rebuilt.rebuild(pts, 0.3);
-    EXPECT_EQ(probeBalls(incremental, 0.3), probeBalls(rebuilt, 0.3)) << "slot " << slot;
-    for (NodeId id = 0; id < 400; ++id) {
-      EXPECT_EQ(incremental.point(id), pts[static_cast<std::size_t>(id)]);
-    }
-    // Id order within a cell is part of the contract (insertion order);
-    // the incremental re-sort must preserve it like a rebuild does.
-    incremental.forEachCell([](long, long, std::span<const NodeId> ids) {
-      for (std::size_t i = 1; i < ids.size(); ++i) EXPECT_LT(ids[i - 1], ids[i]);
-    });
-  }
-}
-
-TEST(GridIndex, UpdateFallsBackOutsideTheBox) {
-  Rng rng(7);
-  std::vector<Vec2> pts = deployUniformSquare(50, 1.0, rng);
-  GridIndex grid(pts, 0.25);
-  pts[13] = {5.0, 5.0};  // leaves the original bounding box
-  EXPECT_FALSE(grid.update(pts));  // fallback: full rebuild, re-anchored
-  auto got = grid.ball({5.0, 5.0}, 0.1);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], 13);
-
-  // Size change also falls back (and stays correct).
-  pts.push_back({0.5, 0.5});
-  EXPECT_FALSE(grid.update(pts));
-  EXPECT_EQ(grid.size(), 51u);
-}
-
-TEST(GridIndex, FuzzAdversarialMotionMatchesFullRebuild) {
-  // Randomized adversarial motion over many steps: a mix of sub-cell
-  // jitter, multi-cell jumps, teleports to the box corners, and
-  // occasional out-of-box excursions that force the rebuild fallback.
-  // After every step, ball queries against a fresh rebuild over the same
-  // points must agree exactly (as sorted id sets — after a fallback
-  // re-anchors the box, cell partitions and hence iteration order may
-  // legitimately differ).
-  Rng rng(1234);
-  const int n = 300;
-  std::vector<Vec2> pts = deployUniformSquare(n, 4.0, rng);
-  GridIndex incremental(pts, 0.35);
-
-  const auto queryBoth = [&](const GridIndex& fresh) {
-    for (int q = 0; q < 20; ++q) {
-      const Vec2 c{rng.uniform(-1.0, 5.0), rng.uniform(-1.0, 5.0)};
-      const double radius = rng.uniform(0.05, 1.5);
-      auto a = incremental.ball(c, radius);
-      auto b = fresh.ball(c, radius);
-      std::sort(a.begin(), a.end());
-      std::sort(b.begin(), b.end());
-      ASSERT_EQ(a, b) << "center (" << c.x << ", " << c.y << ") radius " << radius;
-    }
-  };
-
-  int fallbacks = 0;
-  for (int step = 0; step < 60; ++step) {
-    const int kind = step % 6;
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      Vec2& p = pts[i];
-      switch (kind) {
-        case 0:  // sub-cell jitter
-          p.x += rng.uniform(-0.01, 0.01);
-          p.y += rng.uniform(-0.01, 0.01);
-          break;
-        case 1:  // multi-cell jumps for a third of the points
-          if (i % 3 == 0) {
-            p.x += rng.uniform(-1.2, 1.2);
-            p.y += rng.uniform(-1.2, 1.2);
-          }
-          break;
-        case 2:  // teleport a few points onto the corners (cell pile-up)
-          if (i % 37 == 0) p = {rng.bernoulli(0.5) ? 0.0 : 4.0, rng.bernoulli(0.5) ? 0.0 : 4.0};
-          break;
-        case 3:  // shear: everything drifts the same direction
-          p.x += 0.05;
-          break;
-        case 4:  // full scramble within the field
-          p = {rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)};
-          break;
-        default:  // out-of-box excursion: must force the rebuild fallback
-          if (i == static_cast<std::size_t>(step) % pts.size()) {
-            p = {6.0 + rng.uniform(0.0, 1.0), -2.0 - rng.uniform(0.0, 1.0)};
-          }
-          break;
-      }
-      // Clamp the non-excursion kinds inside a loose box so steps 0-4
-      // keep exercising the incremental path rather than the fallback.
-      if (kind != 5) {
-        p.x = std::clamp(p.x, 0.0, 4.0);
-        p.y = std::clamp(p.y, 0.0, 4.0);
-      }
-    }
-    const bool incrementalPath = incremental.update(pts);
-    if (!incrementalPath) ++fallbacks;
-    const GridIndex fresh(pts, 0.35);
-    queryBoth(fresh);
-    // Positions must always reflect the new point set, whichever path ran.
-    for (NodeId id = 0; id < n; ++id) {
-      ASSERT_EQ(incremental.point(id), pts[static_cast<std::size_t>(id)]) << "step " << step;
-    }
-  }
-  // The excursion steps leave the original bounding box, so the fallback
-  // must actually have been exercised (and only the excursion steps plus
-  // the post-excursion re-anchored steps may fall back).
-  EXPECT_GE(fallbacks, 5);
 }
 
 // ---------------------------------------------------------------------------
@@ -626,18 +487,6 @@ TEST(HierGrid, WalkMatchesReferenceDfsOrder) {
   // Both callback kinds were exercised, not just one.
   EXPECT_GT(farEvents, 1000u);
   EXPECT_GT(nearEvents, 1000u);
-}
-
-TEST(GridIndex, UpdateWithoutCellMovesIsAPositionRefresh) {
-  // Sub-cell jitter: no point changes cells, but queries must see the
-  // fresh positions (a point jittered out of a query ball disappears).
-  const std::vector<Vec2> pts{{0.10, 0.10}, {0.90, 0.90}};
-  GridIndex grid(pts, 1.0);
-  std::vector<Vec2> moved = pts;
-  moved[1] = {0.60, 0.60};  // same cell, different position
-  EXPECT_TRUE(grid.update(moved));
-  EXPECT_EQ(grid.ball({0.9, 0.9}, 0.05).size(), 0u);
-  EXPECT_EQ(grid.ball({0.6, 0.6}, 0.05).size(), 1u);
 }
 
 TEST(Deploy, UniformSquareBounds) {

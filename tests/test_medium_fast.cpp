@@ -347,11 +347,10 @@ TEST(MediumHier, ThetaKnobTightensTheErrorBound) {
   EXPECT_LT(tight.maxRelErr, 0.02);
 }
 
-TEST(MediumHier, DynamicPositionsPathStaysWithinBounds) {
-  // setDynamicPositions reroutes pyramid construction through the shared
-  // incremental allGrid_; the cell partition differs from the static
-  // per-channel grids, but the admissibility bound is geometry-independent
-  // so accuracy must hold all the same.
+TEST(MediumHier, DriftingPositionsStayWithinBounds) {
+  // Drifting positions: each slot's pyramid is built over that slot's
+  // transmitter coordinates, and the admissibility bound is
+  // geometry-independent, so accuracy against Exact holds slot after slot.
   SinrParams exact;
   SinrParams approx = exact;
   approx.mediumMode = MediumMode::Hierarchical;
@@ -366,17 +365,15 @@ TEST(MediumHier, DynamicPositionsPathStaysWithinBounds) {
         rng.bernoulli(0.1) ? Intent::transmit(c, {}) : Intent::listen(c);
   }
   Medium mediumExact(exact, 2);
-  Medium dynamicHier(approx, 2);
-  dynamicHier.setDynamicPositions(true);
+  Medium driftingHier(approx, 2);
   std::vector<Reception> a, b;
   for (int slot = 0; slot < 3; ++slot) {
-    // Small per-slot drift keeps the incremental update() path engaged.
     for (Vec2& p : pos) {
       p.x += 1e-4 * (2.0 * rng.uniform() - 1.0);
       p.y += 1e-4 * (2.0 * rng.uniform() - 1.0);
     }
     mediumExact.resolveSlot(pos, intents, a);
-    dynamicHier.resolveSlot(pos, intents, b);
+    driftingHier.resolveSlot(pos, intents, b);
     int decodeDisagreements = 0;
     int listeners = 0;
     for (int v = 0; v < n; ++v) {

@@ -97,44 +97,58 @@ TEST(MediumGolden, ExactThreadedMatchesSerialGolden) {
   EXPECT_EQ(hashExactSlots(3.0, 4, FadingModel::None, 3, 4), 0x67ab07fc693655a4ull);
 }
 
-/// Gridded-mode counterpart of hashExactSlots: n=1500 uniform nodes on a
-/// 12 x 12 field (R_T = 1, so the near radius is 2 and the pyramid has
-/// four levels), 8% transmitters on two channels.  With `dynamic` the
-/// medium takes its incremental-grid path and every node drifts by up to
-/// 0.05 per slot.  The recipe must stay frozen, like hashExactSlots'.
-std::uint64_t hashGriddedSlots(MediumMode mode, bool dynamic, FadingModel fading, int threads,
-                               double theta = 0.5) {
-  SinrParams p;
-  p = p.withRange(1.0);
-  p.mediumMode = mode;
-  p.hierTheta = theta;
-  p.fading.model = fading;
+/// Gridded-mode counterpart of hashExactSlots' recipe: n=1500 uniform
+/// nodes on a 12 x 12 field (R_T = 1, so the near radius is 2 and the
+/// pyramid has four levels), 8% transmitters on two channels, four slots.
+/// With `drifting`, every node moves by up to 0.05 per slot after the
+/// first.  The recipe must stay frozen, like hashExactSlots'.
+struct GriddedRecipe {
+  SinrParams params;
+  int channels = 2;
+  std::vector<Intent> intents;
+  std::vector<std::vector<Vec2>> slotPositions;
+};
+
+GriddedRecipe griddedRecipe(MediumMode mode, bool drifting, FadingModel fading,
+                            double theta = 0.5) {
+  GriddedRecipe r;
+  r.params = r.params.withRange(1.0);
+  r.params.mediumMode = mode;
+  r.params.hierTheta = theta;
+  r.params.fading.model = fading;
   Rng rng(24680);
   const int n = 1500;
-  const int channels = 2;
   auto pos = deployUniformSquare(n, 12.0, rng);
-  std::vector<Intent> intents(static_cast<std::size_t>(n));
+  r.intents.resize(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) {
-    const auto c = static_cast<ChannelId>(rng.below(static_cast<std::uint64_t>(channels)));
+    const auto c = static_cast<ChannelId>(rng.below(static_cast<std::uint64_t>(r.channels)));
     if (rng.bernoulli(0.08)) {
       Message msg;
       msg.type = MsgType::Data;
       msg.src = v;
-      intents[static_cast<std::size_t>(v)] = Intent::transmit(c, msg);
+      r.intents[static_cast<std::size_t>(v)] = Intent::transmit(c, msg);
     } else {
-      intents[static_cast<std::size_t>(v)] = Intent::listen(c);
+      r.intents[static_cast<std::size_t>(v)] = Intent::listen(c);
     }
   }
-  Medium medium(p, channels, threads);
-  medium.setDynamicPositions(dynamic);
+  for (int s = 0; s < 4; ++s) {
+    if (drifting && s > 0) {
+      for (Vec2& q : pos) q = q + Vec2{rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)};
+    }
+    r.slotPositions.push_back(pos);
+  }
+  return r;
+}
+
+std::uint64_t hashGriddedSlots(MediumMode mode, bool drifting, FadingModel fading, int threads,
+                               double theta = 0.5) {
+  const GriddedRecipe r = griddedRecipe(mode, drifting, fading, theta);
+  Medium medium(r.params, r.channels, threads);
   medium.seedFading(987654321ull);
   std::vector<Reception> rx;
   std::uint64_t h = 1469598103934665603ull;
-  for (int s = 0; s < 4; ++s) {
-    if (dynamic && s > 0) {
-      for (Vec2& q : pos) q = q + Vec2{rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)};
-    }
-    medium.resolveSlot(pos, intents, rx);
+  for (const std::vector<Vec2>& pos : r.slotPositions) {
+    medium.resolveSlot(pos, r.intents, rx);
     h = hashReceptions(h, rx);
   }
   return h;
@@ -142,31 +156,30 @@ std::uint64_t hashGriddedSlots(MediumMode mode, bool dynamic, FadingModel fading
 
 // NearFar and Hierarchical are approximations, but deterministic ones:
 // the far-field walk's summation order is part of the contract, so these
-// hashes pin both modes bit for bit across traversal refactors, the
-// static and incremental (dynamic-position) field builds, fading, and
-// thread counts.
+// hashes pin both modes bit for bit across traversal refactors, static
+// and drifting positions, fading, and thread counts.
 TEST(MediumGolden, NearFarStatic) {
   EXPECT_EQ(hashGriddedSlots(MediumMode::NearFar, false, FadingModel::None, 1),
             0x484c3a71843d0b7bull);
 }
 
-TEST(MediumGolden, NearFarDynamic) {
+TEST(MediumGolden, NearFarDrifting) {
   EXPECT_EQ(hashGriddedSlots(MediumMode::NearFar, true, FadingModel::None, 1),
-            0x23d7346c77365b8full);
+            0xd9b8fa31a146c764ull);
 }
 
-TEST(MediumGolden, NearFarRayleighStaticAndDynamic) {
+TEST(MediumGolden, NearFarRayleighStaticAndDrifting) {
   EXPECT_EQ(hashGriddedSlots(MediumMode::NearFar, false, FadingModel::Rayleigh, 1),
             0xd84e957960d52469ull);
   EXPECT_EQ(hashGriddedSlots(MediumMode::NearFar, true, FadingModel::Rayleigh, 1),
-            0xa39363eaf142eb31ull);
+            0x172742aa465fec5aull);
 }
 
 TEST(MediumGolden, NearFarThreadedMatchesSerialGolden) {
   EXPECT_EQ(hashGriddedSlots(MediumMode::NearFar, false, FadingModel::None, 4),
             0x484c3a71843d0b7bull);
   EXPECT_EQ(hashGriddedSlots(MediumMode::NearFar, true, FadingModel::Rayleigh, 4),
-            0xa39363eaf142eb31ull);
+            0x172742aa465fec5aull);
 }
 
 TEST(MediumGolden, HierStatic) {
@@ -174,23 +187,45 @@ TEST(MediumGolden, HierStatic) {
             0x9e0ad5d415d505a3ull);
 }
 
-TEST(MediumGolden, HierDynamic) {
+TEST(MediumGolden, HierDrifting) {
   EXPECT_EQ(hashGriddedSlots(MediumMode::Hierarchical, true, FadingModel::None, 1),
-            0x776eab28eef8860cull);
+            0x222616bc05902cc3ull);
 }
 
-TEST(MediumGolden, HierRayleighStaticAndDynamic) {
+TEST(MediumGolden, HierRayleighStaticAndDrifting) {
   EXPECT_EQ(hashGriddedSlots(MediumMode::Hierarchical, false, FadingModel::Rayleigh, 1),
             0x3bb691c3f7f6fcd9ull);
   EXPECT_EQ(hashGriddedSlots(MediumMode::Hierarchical, true, FadingModel::Rayleigh, 1),
-            0xf736535319e05cf8ull);
+            0xd75570265260dacbull);
 }
 
 TEST(MediumGolden, HierThreadedMatchesSerialGolden) {
   EXPECT_EQ(hashGriddedSlots(MediumMode::Hierarchical, false, FadingModel::None, 4),
             0x9e0ad5d415d505a3ull);
   EXPECT_EQ(hashGriddedSlots(MediumMode::Hierarchical, true, FadingModel::Rayleigh, 4),
-            0xf736535319e05cf8ull);
+            0xd75570265260dacbull);
+}
+
+TEST(MediumGolden, DriftingSlotsMatchAFreshMediumPerSlot) {
+  // A Medium carries no position state between slots: resolving drifting
+  // slots in sequence gives the receptions a fresh Medium gives each slot
+  // on its own.  (Without fading, since the fading slot ordinal does
+  // advance per slot.)
+  for (const MediumMode mode : {MediumMode::NearFar, MediumMode::Hierarchical}) {
+    const GriddedRecipe r = griddedRecipe(mode, true, FadingModel::None);
+    for (const int threads : {1, 4}) {
+      Medium reused(r.params, r.channels, threads);
+      std::vector<Reception> a, b;
+      for (std::size_t s = 0; s < r.slotPositions.size(); ++s) {
+        reused.resolveSlot(r.slotPositions[s], r.intents, a);
+        Medium fresh(r.params, r.channels, threads);
+        fresh.resolveSlot(r.slotPositions[s], r.intents, b);
+        const std::uint64_t h0 = 1469598103934665603ull;
+        EXPECT_EQ(hashReceptions(h0, a), hashReceptions(h0, b))
+            << "mode " << static_cast<int>(mode) << " threads " << threads << " slot " << s;
+      }
+    }
+  }
 }
 
 TEST(MediumGolden, HierNarrowTheta) {
