@@ -1,13 +1,15 @@
-// sweep_check: the perf-regression gate over sweep campaign reports.
+// sweep_check: the perf-regression gate over sweep campaign stores.
 //
-//   sweep_check --baseline=sweeps/baseline.json --candidate=BENCH_sweep_smoke.json
-//               [--metric-tol=1e-6] [--wall-tol=0.5] [--allow-missing]
 //   sweep_check --baseline=sweeps/baseline.json --candidate-store=BENCH_sweep_smoke.store
+//               [--metric-tol=1e-6] [--wall-tol=0.5] [--allow-missing]
+//   sweep_check --baseline=<campaign.json> --candidate=<campaign.json>
 //
-// --candidate-store gates a columnar campaign store (store/reader.h)
-// instead of a JSON report: the store's summaries view is rebuilt from
-// the per-cell accumulators and compared cell-for-cell like any other
-// campaign — the store is the source of truth, the JSON a view of it.
+// --candidate-store gates a columnar campaign store (store/reader.h): the
+// store's summaries view is rebuilt from the per-cell accumulators and
+// compared cell-for-cell against the baseline — the store is the source
+// of truth, the JSON a view of it (`sweep_query <store> --cells
+// --format=json` prints that view, which is how baselines are captured).
+// --candidate compares two JSON files of the same layout.
 //
 // Matches cells by label and fails (exit 1) when any summary mean drifts
 // beyond --metric-tol relative, when wall time regresses beyond

@@ -6,12 +6,12 @@
 
 #include "bench_common.h"
 #include "campaign/coordinator.h"
-#include "campaign/report.h"
 
 /// The sweep_runner driver: parses the runner flags, runs the campaign
-/// through the coordinator, prints the per-cell table, and emits
-/// BENCH_sweep_<name>.json + long-form CSV.  The declarative experiment
-/// grids run through it as presets, e.g.
+/// through the coordinator, prints the per-cell table, and writes the
+/// campaign store BENCH_sweep_<name>.store (query it with sweep_query,
+/// gate it with sweep_check --candidate-store).  The declarative
+/// experiment grids run through it as presets, e.g.
 ///   sweep_runner --preset=e2_scaling
 ///   sweep_runner --preset=e8_robustness && sweep_runner --preset=e8_uncertainty
 namespace mcs::bench {
@@ -20,10 +20,10 @@ namespace mcs::bench {
 /// is applied as a sweep override (fixed value, or a sweep./zip. axis).
 inline const std::vector<std::string>& sweepReservedFlags() {
   static const std::vector<std::string> kReserved = {
-      "list",    "cells", "dry-run", "sweep",   "preset",  "shard",
-      "threads", "out-dir", "out",   "csv",     "resume",  "metrics",
-      "probes",  "trace-out", "no-heartbeat", "workers", "fault-kill-cell",
-      "store", "store-strip-wall"};
+      "list",    "cells",   "dry-run", "sweep",     "preset",       "shard",
+      "threads", "out-dir", "out",     "resume",    "metrics",      "probes",
+      "trace-out", "no-heartbeat", "workers", "fault-kill-cell", "store",
+      "store-strip-wall"};
   return kReserved;
 }
 
@@ -45,16 +45,17 @@ inline bool applySweepFlagOverrides(SweepSpec& spec, const Args& args, std::stri
   return true;
 }
 
-/// Runs `spec` honoring --shard/--threads/--out-dir/--resume/--csv/
-/// --workers and --cells (list the expansion without running).  The CSV
-/// goes to --csv, else `<out-dir>/BENCH_sweep_<name>.csv`.  Returns the
-/// process exit code: 0 success, 1 failures or unwritable reports, 2 usage.
+/// Runs `spec` honoring --shard/--threads/--out-dir/--resume/--store/
+/// --workers and --cells (list the expansion without running).  The store
+/// goes to --store=<path>, else `<out-dir>/BENCH_sweep_<name>.store`.
+/// Returns the process exit code: 0 success, 1 seed failures or an
+/// unwritable telemetry file, 2 usage or campaign errors.
 inline int runSweepCampaignCli(const SweepSpec& spec, const Args& args) {
   campaign::WorkQueueOptions opts;
   // --workers N forks N worker processes (0 = hardware concurrency), with
   // one batch lane each unless --threads asks for more; without the flag
   // cells run inline, each seed batch on --threads lanes.  Per-cell
-  // results and reports are identical either way (wall times aside), so
+  // results and stores are identical either way (wall times aside), so
   // the same baselines gate both executors.
   if (args.has("workers")) {
     opts.workers = static_cast<int>(args.getInt("workers", 0));
@@ -105,21 +106,18 @@ inline int runSweepCampaignCli(const SweepSpec& spec, const Args& args) {
   }
 
   // --metrics / --trace-out arm the engine telemetry (per-cell "telemetry"
-  // blocks + counter rows in the CSV); the stderr progress heartbeat is on
-  // for interactive campaigns unless --no-heartbeat.
+  // blocks, and the store rows' telemetry blobs); the stderr progress
+  // heartbeat is on for interactive campaigns unless --no-heartbeat.
   armTelemetryCli(args);
   opts.heartbeat = !args.getBool("no-heartbeat");
 
-  // --store[=path] streams every cell into the columnar campaign store
-  // (query it with sweep_query); bare --store derives the path from the
-  // campaign name next to the JSON report.
-  if (args.has("store")) {
-    const std::string storeArg = args.get("store");
-    opts.storePath = (storeArg.empty() || storeArg == "1")
-                         ? opts.outDir + "/BENCH_sweep_" + spec.name + ".store"
-                         : storeArg;
-    opts.storeStripWall = args.getBool("store-strip-wall");
-  }
+  // Every cell streams into the columnar campaign store, by default
+  // `<out-dir>/BENCH_sweep_<name>.store`; --store=<path> moves it.
+  const std::string storeArg = args.get("store");
+  opts.storePath = (storeArg.empty() || storeArg == "1")
+                       ? opts.outDir + "/BENCH_sweep_" + spec.name + ".store"
+                       : storeArg;
+  opts.storeStripWall = args.getBool("store-strip-wall");
 
   header("sweep: " + spec.name, describeSweep(spec));
   row("%-6s %-32s %10s %9s %5s %8s  %s", "cell", "label", "slots", "dec.rate", "ok",
@@ -158,20 +156,7 @@ inline int runSweepCampaignCli(const SweepSpec& spec, const Args& args) {
         static_cast<unsigned long long>(run.workerDeaths), run.peakPendingNodes);
   }
 
-  std::string jsonPath;
-  if (!campaign::writeWorkQueueCampaignReport(run, opts.outDir, opts.outDir, jsonPath, err)) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", jsonPath.c_str());
-  std::string csv = args.get("csv");
-  if (csv.empty()) csv = opts.outDir + "/BENCH_sweep_" + run.name + ".csv";
-  if (!campaign::writeWorkQueueCampaignCsv(run, opts.outDir, csv, err)) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", csv.c_str());
-  if (!opts.storePath.empty()) std::printf("wrote %s\n", opts.storePath.c_str());
+  std::printf("wrote %s\n", opts.storePath.c_str());
   if (!opts.traceOut.empty() && telemetry::traceEnabled()) {
     std::printf("wrote %s (merged worker traces)\n", opts.traceOut.c_str());
   }

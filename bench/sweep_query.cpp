@@ -16,10 +16,16 @@
 // below the sketch threshold and within the store's alpha above it.
 //
 //   --schema     print each store's header, axes, and metrics, then exit
-//   --cells      list per-cell rows (index, label, axes, counters)
-//   --select     metrics to aggregate (default: all).  "tm.<counter>"
-//                selects a per-cell telemetry counter (absent = 0), e.g.
-//                tm.cause.noise_limited — the decode-attribution columns
+//   --cells      list per-cell rows (index, label, axes, counters);
+//                with --format=json, print the store's campaign-summaries
+//                view instead — the layout sweep_check --baseline reads,
+//                so `sweep_query <store> --cells --format=json >
+//                sweeps/<name>_baseline.json` re-captures a baseline
+//   --select     metrics to aggregate (default: all, the union over the
+//                stores; a store lacking a metric reads as empty).
+//                "tm.<counter>" selects a per-cell telemetry counter
+//                (absent = 0), e.g. tm.cause.noise_limited — the
+//                decode-attribution columns
 //   --where      conjunctive equality filters on axis values (or label=...)
 //   --group-by   one group per distinct value of this axis ("label" works)
 //   --series     merge the where-filtered cells' probe blobs (--probes
@@ -34,6 +40,7 @@
 // Exit 0 on success, 1 on bad queries (unknown metric/axis, overlapping
 // stores, probe-less --series), 2 on usage or unreadable stores.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <map>
@@ -92,6 +99,19 @@ int printSchema(const store::StoreReader& reader) {
   std::printf("\nmetrics:  ");
   for (const std::string& m : reader.metricNames()) std::printf(" %s", m.c_str());
   std::printf("\n");
+  return 0;
+}
+
+/// --cells --format=json: the store's campaign-summaries view, the
+/// layout sweep_check --baseline reads, so it re-captures a baseline.
+int printCellsJson(const store::StoreReader& reader) {
+  Json view;
+  std::string err;
+  if (!store::storeSummariesJson(reader, view, err)) {
+    std::fprintf(stderr, "sweep_query: %s\n", err.c_str());
+    return 1;
+  }
+  std::printf("%s\n", view.dump().c_str());
   return 0;
 }
 
@@ -257,6 +277,12 @@ int runPivot(const std::vector<const store::StoreReader*>& readers,
   // them verbatim.
   const bool isTm = metricName.rfind("tm.", 0) == 0 && metricName.size() > 3;
   const std::string& tmKey = metricName;
+  if (!isTm && std::none_of(readers.begin(), readers.end(), [&](const store::StoreReader* rp) {
+        return rp->metricIndex(metricName) >= 0;
+      })) {
+    std::fprintf(stderr, "sweep_query: metric \"%s\" not in any store\n", metricName.c_str());
+    return 1;
+  }
 
   std::vector<std::string> rowKeys, colKeys;
   std::map<std::pair<std::size_t, std::size_t>, StreamingStats> acc;
@@ -291,15 +317,9 @@ int runPivot(const std::vector<const store::StoreReader*>& readers,
     for (std::size_t i = 0; i < where.size(); ++i) {
       if (!axisColOf(where[i].first, whereCols[i])) return 1;
     }
-    int metricIdx = -1;
-    if (!isTm) {
-      metricIdx = reader.metricIndex(metricName);
-      if (metricIdx < 0) {
-        std::fprintf(stderr, "sweep_query: metric \"%s\" not in store\n",
-                     metricName.c_str());
-        return 1;
-      }
-    }
+    // A store without the metric (a shard of a mixed-protocol sweep)
+    // contributes its keys but no samples.
+    const int metricIdx = isTm ? -1 : reader.metricIndex(metricName);
     for (std::size_t row = 0; row < reader.cells(); ++row) {
       bool pass = true;
       for (std::size_t i = 0; i < where.size(); ++i) {
@@ -326,7 +346,7 @@ int runPivot(const std::vector<const store::StoreReader*>& readers,
           }
         }
         cell.add(value);
-      } else {
+      } else if (metricIdx >= 0) {
         StreamingStats rowStats;
         if (!reader.statsAt(static_cast<std::size_t>(metricIdx), row, rowStats, err)) {
           std::fprintf(stderr, "sweep_query: %s\n", err.c_str());
@@ -421,6 +441,18 @@ int main(int argc, char** argv) {
     owned.push_back(std::move(reader));
   }
 
+  const std::string format = args.get("format", "table");
+  if (format != "table" && format != "csv" && format != "json") {
+    std::fprintf(stderr, "sweep_query: unknown --format \"%s\"\n", format.c_str());
+    return 2;
+  }
+  if (args.getBool("cells") && format == "json") {
+    // One summaries view per store, one per line.
+    for (const store::StoreReader* reader : readers) {
+      if (printCellsJson(*reader) != 0) return 1;
+    }
+    return 0;
+  }
   if (args.getBool("schema") || args.getBool("cells")) {
     for (std::size_t i = 0; i < readers.size(); ++i) {
       if (readers.size() > 1) {
@@ -435,11 +467,6 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::string>> where;
   if (!parseWhere(args.get("where"), where, err)) {
     std::fprintf(stderr, "sweep_query: %s\n", err.c_str());
-    return 2;
-  }
-  const std::string format = args.get("format", "table");
-  if (format != "table" && format != "csv" && format != "json") {
-    std::fprintf(stderr, "sweep_query: unknown --format \"%s\"\n", format.c_str());
     return 2;
   }
   const std::vector<std::string> select = splitList(args.get("select"), ',');

@@ -12,15 +12,18 @@
 // without running), --dry-run (like --cells plus each cell's fully
 // resolved `key = value` scenario — debug a sweep file without running
 // it), --shard=i/k (deterministic cell partition for CI matrices),
-// --threads (batch lanes per cell), --out-dir (report + cell JSON root),
-// --csv (long-form CSV path), --resume (skip cells whose cell JSON
-// already exists).
+// --threads (batch lanes per cell), --out-dir (store + cell JSON root),
+// --store=<path> (move the store), --store-strip-wall (zero the wall
+// times, for byte comparisons), --resume (skip cells whose cell JSON
+// already exists), --workers=N (forked workers).
 //
-// Output: BENCH_sweep_<name>.json (per-cell summary statistics over every
-// named metric and wall time, plus per-seed rows) and a long-form CSV —
-// one row per (cell, seed, metric).  Compare campaigns across commits
-// with sweep_check.  Exit: 0 success, 1 seed failures or unwritable
-// reports, 2 usage/spec errors.
+// Output: the campaign store BENCH_sweep_<name>.store — per-cell counters
+// and the full accumulator state of every named metric and wall time,
+// plus per-cell telemetry and probe blobs — and one JSON per cell under
+// sweep_cells/<name>/ with the per-seed rows.  Read the store with
+// sweep_query; gate it against a committed baseline with
+// `sweep_check --candidate-store`.  Exit: 0 success, 1 seed failures,
+// 2 usage/spec/campaign errors.
 
 #include "sweep_cli.h"
 
@@ -46,7 +49,7 @@ int main(int argc, char** argv) {
   if (preset.empty() && file.empty()) {
     std::fprintf(stderr,
                  "usage: sweep_runner --list | --preset=<name> | --sweep=<file> "
-                 "[--shard=i/k] [--threads=N] [--out-dir=DIR] [--csv=PATH] [--resume] "
+                 "[--shard=i/k] [--threads=N] [--out-dir=DIR] [--store=PATH] [--resume] "
                  "[--cells] [--dry-run] [overrides]\n");
     return 2;
   }

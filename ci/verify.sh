@@ -105,14 +105,16 @@ awk -v off="${base_wall}" -v on="${telem_wall}" 'BEGIN {
 }' || { echo "FAIL: telemetry overhead exceeds the smoke budget"; exit 1; }
 
 # --- Sweep campaign smoke + perf-regression gate -----------------------------
-# Runs the committed smoke campaign and diffs it against the committed
-# baseline: metric drift beyond 20% or a wall-time regression beyond 9x
-# fails the build.  (The tight bit-identical guarantees are locked by the
-# unit tests; the loose tolerances here absorb cross-machine noise.)
+# Runs the committed smoke campaign and diffs its store against the
+# committed baseline: metric drift beyond 20% or a wall-time regression
+# beyond 9x fails the build.  (The tight bit-identical guarantees are
+# locked by the unit tests; the loose tolerances here absorb cross-machine
+# noise.)  After an intentional change, re-capture a baseline from a store:
+#   ./bench/sweep_query <store> --cells --format=json > ../sweeps/baseline.json
 ./bench/sweep_runner --list
 ./bench/sweep_runner --sweep=../sweeps/smoke.sweep --out-dir=bench-artifacts --threads=2
 ./bench/sweep_check --baseline=../sweeps/baseline.json \
-  --candidate=bench-artifacts/BENCH_sweep_smoke.json --metric-tol=0.2 --wall-tol=9
+  --candidate-store=bench-artifacts/BENCH_sweep_smoke.store --metric-tol=0.2 --wall-tol=9
 
 # The E10 mobility campaign's smoke slice (one seed per cell) behind the
 # same gate at zero metric tolerance: drift metrics and re-delivery are
@@ -121,12 +123,13 @@ awk -v off="${base_wall}" -v on="${telem_wall}" 'BEGIN {
 ./bench/sweep_runner --sweep=../sweeps/e10_mobility.sweep --seeds=1 \
   --out-dir=bench-artifacts --threads=2
 ./bench/sweep_check --baseline=../sweeps/e10_baseline.json \
-  --candidate=bench-artifacts/BENCH_sweep_e10_mobility.json --metric-tol=0 --wall-tol=9
+  --candidate-store=bench-artifacts/BENCH_sweep_e10_mobility.store --metric-tol=0 \
+  --wall-tol=9
 
 # The paper experiments run as sweep presets, their tables as store
 # queries.  E9 at two small sizes: the uplink contention column must come
 # out of the store.
-./bench/sweep_runner --preset=e9_contention --sweep.n=150,300 --store \
+./bench/sweep_runner --preset=e9_contention --sweep.n=150,300 \
   --out-dir=bench-artifacts/e9-smoke
 output_has 'uplink_max_contention_ratio' ./bench/sweep_query \
   bench-artifacts/e9-smoke/BENCH_sweep_e9_contention.store --group-by=n \
@@ -134,47 +137,61 @@ output_has 'uplink_max_contention_ratio' ./bench/sweep_query \
   || { echo "FAIL: the e9_contention store has no uplink contention metric"; exit 1; }
 
 # --- Work-queue campaign smoke -----------------------------------------------
-# The same smoke campaign through forked workers (--workers): the spliced
-# report must pass the identical baseline gate as the inline run — the
+# The same smoke campaign through forked workers (--workers): its store
+# must pass the identical baseline gate as the inline run — the
 # byte-identity contract makes one baseline serve both executors.
 # Separate out-dirs keep the inline artifact intact.
 ./bench/sweep_runner --sweep=../sweeps/smoke.sweep --workers=4 \
   --out-dir=bench-artifacts/wq-smoke
 ./bench/sweep_check --baseline=../sweeps/baseline.json \
-  --candidate=bench-artifacts/wq-smoke/BENCH_sweep_smoke.json --metric-tol=0.2 --wall-tol=9
-
-# Report parity: the inline report against the 4-worker report of the same
-# campaign at zero metric tolerance — both executors run the one cell body
-# and the one RESULT handler, so every summary must agree exactly.
-./bench/sweep_check --baseline=bench-artifacts/BENCH_sweep_smoke.json \
-  --candidate=bench-artifacts/wq-smoke/BENCH_sweep_smoke.json --metric-tol=0 --wall-tol=9
+  --candidate-store=bench-artifacts/wq-smoke/BENCH_sweep_smoke.store --metric-tol=0.2 \
+  --wall-tol=9
 
 # Fault-injection smoke: SIGKILL the worker holding cell 0's first lease
-# mid-cell.  The requeue/respawn path must still produce a report that
+# mid-cell.  The requeue/respawn path must still produce a store that
 # passes the same baseline gate — worker deaths are invisible in output.
 ./bench/sweep_runner --sweep=../sweeps/smoke.sweep --workers=2 --fault-kill-cell=0 \
   --out-dir=bench-artifacts/wq-fault
 ./bench/sweep_check --baseline=../sweeps/baseline.json \
-  --candidate=bench-artifacts/wq-fault/BENCH_sweep_smoke.json --metric-tol=0.2 --wall-tol=9
+  --candidate-store=bench-artifacts/wq-fault/BENCH_sweep_smoke.store --metric-tol=0.2 \
+  --wall-tol=9
 
 # --- Campaign store smoke -----------------------------------------------------
-# The smoke campaign again with --store: the columnar store must answer
-# sweep_check against the same run's JSON report with zero metric drift
-# (means re-merge exactly from the stored accumulators; the store's wall
-# stats are stripped, which only ever reads as "faster").  Then the same
-# campaign through 4 workers: the store file must be byte-for-byte
-# identical to the inline one — the slot-positional spool plus the
-# canonical string table make worker arrival order invisible.
+# Executor parity: the smoke campaign inline and through 4 workers with
+# the wall times stripped.  The two store files must be byte-for-byte
+# identical — every accumulator, sketch and blob, not just the summary
+# means — since the one cell body and the one RESULT handler feed a
+# slot-positional spool and a canonical string table that make worker
+# arrival order invisible.
 ./bench/sweep_runner --sweep=../sweeps/smoke.sweep --threads=2 \
-  --store --store-strip-wall --out-dir=bench-artifacts/store-smoke
-./bench/sweep_check --baseline=bench-artifacts/store-smoke/BENCH_sweep_smoke.json \
-  --candidate-store=bench-artifacts/store-smoke/BENCH_sweep_smoke.store \
-  --metric-tol=0 --wall-tol=9
+  --store-strip-wall --out-dir=bench-artifacts/store-smoke
 ./bench/sweep_runner --sweep=../sweeps/smoke.sweep --workers=4 \
-  --store --store-strip-wall --out-dir=bench-artifacts/store-wq
+  --store-strip-wall --out-dir=bench-artifacts/store-wq
 cmp bench-artifacts/store-smoke/BENCH_sweep_smoke.store \
     bench-artifacts/store-wq/BENCH_sweep_smoke.store \
   || { echo "FAIL: worker store differs from inline store"; exit 1; }
+
+# Mixed-schema campaigns: cells of different protocols (and static vs
+# moving cells) carry different metrics, and the store's schema is their
+# union.  Both comparisons the paper's results rest on must write one
+# store, byte-identical between the inline and the 4-worker executor.
+for mixed in "protocol --sweep.protocol=agg_max,coloring" \
+             "mobility --zip.mobility=static,random_walk --zip.mobility_speed=0,0.01"; do
+  tag=${mixed%% *}
+  # shellcheck disable=SC2086  # the axis flags are meant to split
+  ./bench/sweep_runner --sweep=../sweeps/smoke.sweep ${mixed#* } --threads=2 \
+    --store-strip-wall --out-dir=bench-artifacts/mixed-${tag}
+  # shellcheck disable=SC2086
+  ./bench/sweep_runner --sweep=../sweeps/smoke.sweep ${mixed#* } --workers=4 \
+    --store-strip-wall --out-dir=bench-artifacts/mixed-${tag}-wq
+  cmp bench-artifacts/mixed-${tag}/BENCH_sweep_smoke.store \
+      bench-artifacts/mixed-${tag}-wq/BENCH_sweep_smoke.store \
+    || { echo "FAIL: ${tag}-mixed worker store differs from inline store"; exit 1; }
+done
+output_has '^random_walk,3,redelivered,' ./bench/sweep_query \
+  bench-artifacts/mixed-mobility/BENCH_sweep_smoke.store --group-by=mobility \
+  --select=redelivered --format=csv \
+  || { echo "FAIL: the static-vs-moving store cannot answer redelivered"; exit 1; }
 
 # sweep_query must read the store it just gated: schema lists the swept
 # axis, and a group-by over it aggregates every metric.
@@ -188,9 +205,9 @@ output_has '"decode_rate"' ./bench/sweep_query \
 # Sharded stores union in one query (disjoint cell indices merge), and
 # overlapping stores are rejected loudly instead of double-counted.
 ./bench/sweep_runner --sweep=../sweeps/smoke.sweep --threads=2 --shard=0/2 \
-  --store --store-strip-wall --out-dir=bench-artifacts/store-sh0
+  --store-strip-wall --out-dir=bench-artifacts/store-sh0
 ./bench/sweep_runner --sweep=../sweeps/smoke.sweep --threads=2 --shard=1/2 \
-  --store --store-strip-wall --out-dir=bench-artifacts/store-sh1
+  --store-strip-wall --out-dir=bench-artifacts/store-sh1
 output_has '^all,3,slots,6,' ./bench/sweep_query \
   bench-artifacts/store-sh0/BENCH_sweep_smoke.store \
   bench-artifacts/store-sh1/BENCH_sweep_smoke.store --select=slots --format=csv \
@@ -214,15 +231,15 @@ awk -v off="${base_wall}" -v on="${probe_wall}" 'BEGIN {
   exit (on <= budget) ? 0 : 1;
 }' || { echo "FAIL: probes overhead exceeds the smoke budget"; exit 1; }
 
-# Probes-armed smoke campaign with a store.  Three gates in one artifact:
-# the armed report must pass the unarmed committed baseline bit-exactly
+# Probes-armed smoke campaign.  Three gates in one artifact: the armed
+# store must pass the unarmed committed baseline bit-exactly
 # (arming probes never changes a result), the cause counters must
 # partition failed listens exactly (sum(cause.*) == listens - decodes),
 # and the 4-worker armed store must be byte-identical to the inline
 # one (probe blobs reduce associatively; wall-derived telemetry is
 # stripped with the wall stats).
 ./bench/sweep_runner --sweep=../sweeps/smoke.sweep --threads=2 --probes \
-  --store --store-strip-wall --out-dir=bench-artifacts/probe-smoke
+  --store-strip-wall --out-dir=bench-artifacts/probe-smoke
 ./bench/sweep_check --baseline=../sweeps/baseline.json \
   --candidate-store=bench-artifacts/probe-smoke/BENCH_sweep_smoke.store \
   --metric-tol=0 --wall-tol=9
@@ -237,7 +254,7 @@ awk -v off="${base_wall}" -v on="${probe_wall}" 'BEGIN {
       exit (causes == listens - decodes && listens > 0) ? 0 : 1;
     }' || { echo "FAIL: cause counters do not partition failed listens"; exit 1; }
 ./bench/sweep_runner --sweep=../sweeps/smoke.sweep --workers=4 --probes \
-  --store --store-strip-wall --out-dir=bench-artifacts/probe-wq
+  --store-strip-wall --out-dir=bench-artifacts/probe-wq
 cmp bench-artifacts/probe-smoke/BENCH_sweep_smoke.store \
     bench-artifacts/probe-wq/BENCH_sweep_smoke.store \
   || { echo "FAIL: probes-armed worker store differs from inline store"; exit 1; }

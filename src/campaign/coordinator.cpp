@@ -79,8 +79,6 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
                           WorkQueueCampaign& out, std::string& err) {
   out = WorkQueueCampaign();
   out.name = spec.name;
-  out.baseName = spec.baseName;
-  out.description = describeSweep(spec);
   out.shardIndex = opts.shardIndex;
   out.shardCount = opts.shardCount;
 
@@ -95,12 +93,6 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
   static const telemetry::TimerId kReduce = telemetry::timerId("campaign.reduce");
 
   const double t0 = nowSec();
-  const bool withTelemetry = telemetry::enabled();
-  telemetry::MetricsSnapshot telemetryBefore;
-  if (withTelemetry) telemetryBefore = telemetry::snapshotMetrics();
-  const auto addTelemetry = [&](const std::string& name, double value) {
-    out.telemetry.set(name, out.telemetry.getOr(name) + value);
-  };
 
   // This shard's cells, in expansion order; leaf index in the reduction
   // tree = position here, so the reduced root only depends on the shard's
@@ -151,17 +143,15 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
       if (name == "decode_rate") rec.decodeRateMean = st.moments.mean();
       if (name == "wall_sec") rec.wallMeanSec = st.moments.mean();
     }
-    const Json* probesJson = body.find("probes");
-    telemetry::ProbeState probes =
-        probesJson ? telemetry::probesFromJson(*probesJson) : telemetry::ProbeState();
-    MetricMap tm;
-    if (const Json* tmJson = body.find("telemetry"); tmJson != nullptr && tmJson->isObject()) {
-      for (const auto& [name, value] : tmJson->members()) tm.set(name, value.asDouble());
-    }
-    if (withTelemetry) {
-      for (const auto& [name, value] : tm.entries()) addTelemetry(name, value);
-    }
     if (storeWriter.isOpen()) {
+      const Json* probesJson = body.find("probes");
+      const telemetry::ProbeState probes =
+          probesJson ? telemetry::probesFromJson(*probesJson) : telemetry::ProbeState();
+      MetricMap tm;
+      if (const Json* tmJson = body.find("telemetry");
+          tmJson != nullptr && tmJson->isObject()) {
+        for (const auto& [name, value] : tmJson->members()) tm.set(name, value.asDouble());
+      }
       store::StoreCellRow row;
       row.cellIndex = rec.cell.index;
       row.label = rec.cell.label;
@@ -181,7 +171,7 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
       }
     }
     const double r0 = nowSec();
-    reducer.addLeaf(leaf, std::move(stats), std::move(probes));
+    reducer.addLeaf(leaf, std::move(stats));
     telemetry::timerRecord(kReduce, static_cast<std::uint64_t>((nowSec() - r0) * 1e9));
     out.peakPendingNodes = std::max(out.peakPendingNodes, reducer.pendingNodes());
     ++done;
@@ -474,20 +464,6 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
 
   if (storeWriter.isOpen() && !storeWriter.finish(err)) return false;
 
-  // The coordinator's own counters.  Cells never record campaign.* or
-  // store.*, and an inline run's engine counters are already in the cell
-  // sums, so only those two namespaces are taken from this process.
-  if (withTelemetry) {
-    const telemetry::MetricsSnapshot own = telemetry::snapshotMetrics().diff(telemetryBefore);
-    for (const telemetry::CounterSample& c : own.counters) {
-      const bool coordinatorOnly =
-          c.name.starts_with("campaign.") || c.name.starts_with("store.");
-      if (coordinatorOnly && c.value != 0) {
-        addTelemetry("tm." + c.name, static_cast<double>(c.value));
-      }
-    }
-  }
-
   // Merge the per-worker trace dumps (written at DONE, which the drain
   // above waited for) into one Chrome trace: events concatenate verbatim —
   // each worker's events are already rebased within its own pid lane and
@@ -522,7 +498,6 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
   }
 
   out.reduction = reducer.root();
-  out.probes = reducer.rootProbes();
   out.wallSec = nowSec() - t0;
   return true;
 }

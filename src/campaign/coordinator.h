@@ -34,13 +34,19 @@
 ///  - The campaign-wide reduction folds per-cell moment records through
 ///    a fixed-shape tree (campaign/reduce.h), so the aggregate is
 ///    bit-identical no matter which worker finished which cell first.
+///  - The campaign store (storePath) is the campaign's report.  Rows land
+///    by slot and the metric schema is the union over all cells, fixed
+///    when the store finishes, so with wall times stripped the file is
+///    byte-identical across executors and worker counts, also when the
+///    cells run different protocols and so carry different metrics.
 ///
 /// Worker death (socket EOF, from crash or kill) requeues the in-flight
 /// lease and respawns a replacement, up to a death budget that turns a
 /// deterministically crashing cell into a campaign error instead of a
 /// fork loop.  Memory stays O(cells in flight): the coordinator keeps
 /// per-cell counter records and moment summaries, never per-seed rows —
-/// those live in the cell files, which report writers stream back in.
+/// those live in the cell files.  Per-cell telemetry and probe state go
+/// straight into the store rows; sweep_query merges them from there.
 namespace mcs::campaign {
 
 struct WorkQueueOptions {
@@ -73,7 +79,8 @@ struct WorkQueueOptions {
   /// When non-empty, stream every finished cell into the columnar
   /// campaign store at this path (store/writer.h).  Rows land by slot
   /// (expansion-order position), so the finished file is byte-identical
-  /// across executors no matter which worker finished first.
+  /// across executors no matter which worker finished first.  sweep_runner
+  /// always sets it.
   std::string storePath;
   /// Zero the wall_sec stats in store rows (count survives) — the store
   /// analogue of stripWallTimes, for byte-for-byte comparisons.
@@ -107,24 +114,14 @@ struct CellRecord {
 
 struct WorkQueueCampaign {
   std::string name;
-  std::string baseName;
-  std::string description;
   int totalCells = 0;
   int shardIndex = 0;
   int shardCount = 1;
-  /// This shard's cells in expansion order (report order), regardless of
-  /// completion order.
+  /// This shard's cells in expansion order (store slot order), regardless
+  /// of completion order.
   std::vector<CellRecord> cells;
   /// Tree-reduced campaign-wide per-metric statistics.
   NamedStats reduction;
-  /// Tree-reduced campaign-wide probe aggregate (empty unless probes were
-  /// armed).
-  telemetry::ProbeState probes;
-  /// Campaign-wide telemetry in the cells' flat "tm." form (empty unless
-  /// metrics were armed): the sum of every counted cell's own telemetry
-  /// plus the counters only the coordinator records (campaign.*,
-  /// store.*), so it is the same whichever executor ran the cells.
-  MetricMap telemetry;
   /// Peak reducer frontier observed (memory diagnostics/tests).
   std::size_t peakPendingNodes = 0;
   double wallSec = 0.0;

@@ -54,14 +54,14 @@ TreeReducer::TreeReducer(std::size_t leaves) : leaves_(leaves) {
   }
 }
 
-void TreeReducer::addLeaf(std::size_t index, NamedStats stats, telemetry::ProbeState probes) {
+void TreeReducer::addLeaf(std::size_t index, NamedStats stats) {
   assert(index < leaves_);
   sortMetricStats(stats);
   ++received_;
-  place(0, index, Node{std::move(stats), std::move(probes)});
+  place(0, index, std::move(stats));
 }
 
-void TreeReducer::place(std::size_t level, std::size_t idx, Node node) {
+void TreeReducer::place(std::size_t level, std::size_t idx, NamedStats node) {
   for (;;) {
     if (levelSize_[level] <= 1) {
       root_ = std::move(node);
@@ -79,18 +79,11 @@ void TreeReducer::place(std::size_t level, std::size_t idx, Node node) {
       pending_.emplace(nodeKey(level, idx), std::move(node));
       return;
     }
-    Node other = std::move(it->second);
+    NamedStats other = std::move(it->second);
     pending_.erase(it);
     // Children always merge left-into-right regardless of which arrived
     // first — this is the whole determinism argument.
-    if (idx & 1) {
-      node.stats = mergeMetricStats(other.stats, node.stats);
-      other.probes.merge(node.probes);
-      node.probes = std::move(other.probes);
-    } else {
-      node.stats = mergeMetricStats(node.stats, other.stats);
-      node.probes.merge(other.probes);
-    }
+    node = (idx & 1) ? mergeMetricStats(other, node) : mergeMetricStats(node, other);
     ++level;
     idx /= 2;
   }

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/probes.h"
 #include "util/sketch.h"
 
 /// Streaming tree reduction of per-cell statistics — the campaign
@@ -46,13 +45,8 @@ class TreeReducer {
   /// Folds leaf `index`'s statistics in; call exactly once per leaf, in
   /// any order.  `stats` need not be sorted; metric-name union across
   /// leaves is fine (a metric missing from a leaf simply contributes no
-  /// samples there).  `probes` (decode-attribution sketches + slot
-  /// series, telemetry/probes.h) rides the same node merges; its folds
-  /// commute outright, so the fixed tree shape is belt-and-braces there,
-  /// but carrying it through the one reduction path keeps the campaign
-  /// aggregate a single pure function of the leaves.
-  void addLeaf(std::size_t index, NamedStats stats,
-               telemetry::ProbeState probes = telemetry::ProbeState());
+  /// samples there).
+  void addLeaf(std::size_t index, NamedStats stats);
 
   /// True once every leaf has arrived.
   [[nodiscard]] bool complete() const noexcept { return received_ == leaves_; }
@@ -62,30 +56,18 @@ class TreeReducer {
 
   /// The root aggregate.  Only meaningful when complete(); an incomplete
   /// reduction returns whatever has reached the root (empty until then).
-  [[nodiscard]] const NamedStats& root() const noexcept { return root_.stats; }
-
-  /// The root probe aggregate (empty unless leaves carried probes).
-  [[nodiscard]] const telemetry::ProbeState& rootProbes() const noexcept {
-    return root_.probes;
-  }
+  [[nodiscard]] const NamedStats& root() const noexcept { return root_; }
 
  private:
-  /// One reduction node: the per-metric statistics plus the probe payload
-  /// riding the same merges.
-  struct Node {
-    NamedStats stats;
-    telemetry::ProbeState probes;
-  };
-
-  void place(std::size_t level, std::size_t idx, Node node);
+  void place(std::size_t level, std::size_t idx, NamedStats node);
 
   std::size_t leaves_ = 0;
   std::size_t received_ = 0;
   /// levelSize_[l] = node count at level l (level 0 = leaves); the last
   /// level has exactly one node, the root.
   std::vector<std::size_t> levelSize_;
-  std::unordered_map<std::uint64_t, Node> pending_;
-  Node root_;
+  std::unordered_map<std::uint64_t, NamedStats> pending_;
+  NamedStats root_;
 };
 
 /// Merges two name-sorted NamedStats (left folded into right's values

@@ -83,8 +83,9 @@ struct StoreHeader {
 static_assert(sizeof(StoreHeader) == 120, "header layout is the on-disk contract");
 
 /// Element width of every column, in the on-disk order above.  The same
-/// list describes one packed row record (the writer's streaming spool),
-/// so writer and reader can never disagree about offsets.
+/// list describes one packed row record (how the writer assembles rows
+/// before transposing them into columns), so writer and reader can never
+/// disagree about offsets.
 [[nodiscard]] std::vector<std::uint32_t> columnLayout(std::uint32_t axisCount,
                                                       std::uint32_t metricCount);
 

@@ -1,5 +1,6 @@
 #include "store/query.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "sweep/report.h"
@@ -105,10 +106,33 @@ bool runStoreQueryUnion(const std::vector<const StoreReader*>& readers,
   }
   if (!checkStoreUnion(readers, err)) return false;
 
+  // Stores of one campaign may carry different metric sets (shards of a
+  // mixed-protocol sweep): the default selection is their union, first
+  // store first, and a metric a store lacks reads as empty there.  Only a
+  // metric no store has is an error.
   std::vector<std::string> metricNames = query.metrics;
-  if (metricNames.empty()) metricNames = readers.front()->metricNames();
+  if (metricNames.empty()) {
+    for (const StoreReader* rp : readers) {
+      for (const std::string& name : rp->metricNames()) {
+        if (std::find(metricNames.begin(), metricNames.end(), name) == metricNames.end()) {
+          metricNames.push_back(name);
+        }
+      }
+    }
+  }
   bool anyTm = false;
-  for (const std::string& name : metricNames) anyTm = anyTm || isTmMetric(name);
+  for (const std::string& name : metricNames) {
+    anyTm = anyTm || isTmMetric(name);
+    const bool held = isTmMetric(name) ||
+                      std::any_of(readers.begin(), readers.end(), [&](const StoreReader* rp) {
+                        return rp->metricIndex(name) >= 0;
+                      });
+    if (!held) {
+      err = "metric \"" + name + "\" not in any store (has: " +
+            namesList(readers.front()->metricNames()) + "; tm.<counter> selects telemetry)";
+      return false;
+    }
+  }
 
   const telemetry::PhaseTimer scan(kScan);
   std::unordered_map<std::string, std::size_t> groupOf;  // group key -> out index
@@ -131,15 +155,10 @@ bool runStoreQueryUnion(const std::vector<const StoreReader*>& readers,
     const StoreReader& reader = *rp;
     // Per-store resolution: metric positions (and axis columns) may
     // differ between stores even when the names agree.
-    std::vector<int> metricIdx(metricNames.size(), -1);
+    // -1 = not in this store (reads as empty), -2 = telemetry counter.
+    std::vector<int> metricIdx(metricNames.size(), -2);
     for (std::size_t k = 0; k < metricNames.size(); ++k) {
-      if (isTmMetric(metricNames[k])) continue;
-      metricIdx[k] = reader.metricIndex(metricNames[k]);
-      if (metricIdx[k] < 0) {
-        err = "metric \"" + metricNames[k] + "\" not in store (has: " +
-              namesList(reader.metricNames()) + "; tm.<counter> selects telemetry)";
-        return false;
-      }
+      if (!isTmMetric(metricNames[k])) metricIdx[k] = reader.metricIndex(metricNames[k]);
     }
     std::vector<ColumnFilter> filters;
     if (!resolveFilters(reader, query.where, filters, err)) return false;
@@ -166,7 +185,8 @@ bool runStoreQueryUnion(const std::vector<const StoreReader*>& readers,
       if (anyTm && !reader.telemetryAt(row, tmEntries, err)) return false;
       for (std::size_t k = 0; k < metricNames.size(); ++k) {
         StreamingStats& acc = group.stats[k].second;
-        if (metricIdx[k] < 0) {
+        if (metricIdx[k] == -1) continue;
+        if (metricIdx[k] == -2) {
           // Telemetry metric: the cell's counter value is one sample
           // (absent counter = 0.0, e.g. a cause that never fired).  The
           // blob keys carry the "tm." prefix already, so the selector name

@@ -17,12 +17,13 @@
 namespace mcs::store {
 
 struct StoreQuery {
-  /// Metric names to aggregate; empty = every metric in the store.  A
-  /// name starting with "tm." selects a per-cell telemetry counter
-  /// instead (e.g. "tm.cause.noise_limited"): each matching cell
-  /// contributes its counter value as one sample, absent entries count
-  /// as 0.0 — so mean is the per-cell average and sum the campaign
-  /// total.
+  /// Metric names to aggregate; empty = every metric in the stores (their
+  /// union, first store first).  A metric a store lacks reads as empty
+  /// there; one no store holds is an error.  A name starting with "tm."
+  /// selects a per-cell telemetry counter instead (e.g.
+  /// "tm.cause.noise_limited"): each matching cell contributes its
+  /// counter value as one sample, absent entries count as 0.0 — so mean
+  /// is the per-cell average and sum the campaign total.
   std::vector<std::string> metrics;
   /// Conjunctive equality filters: axis name (or "label") == value.
   std::vector<std::pair<std::string, std::string>> where;

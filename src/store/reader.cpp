@@ -56,14 +56,37 @@ bool StoreReader::open(const std::string& path, std::string& err) {
     err = "store \"" + path + "\" was written on a different-endian machine";
     return false;
   }
-  if (header_->stringsOff + header_->stringsLen > size_ || header_->namesOff > size_ ||
-      header_->columnsOff > size_ || header_->blobOff + header_->blobLen > size_) {
+  // The quantile blobs rebuild sketches at the file's alpha, which the
+  // sketch itself only accepts inside (0, 1).
+  if (!(header_->sketchAlpha > 0.0 && header_->sketchAlpha < 1.0)) {
+    err = "store \"" + path + "\" has sketch alpha " + std::to_string(header_->sketchAlpha) +
+          " outside (0, 1)";
+    return false;
+  }
+  // Every bound is checked without overflow: a damaged header must fail
+  // here, not wrap an offset past the mapping.
+  const auto within = [&](std::uint64_t off, std::uint64_t len) {
+    return off <= size_ && len <= size_ - off;
+  };
+  if (!within(header_->stringsOff, header_->stringsLen) || header_->namesOff > size_ ||
+      header_->columnsOff > size_ || !within(header_->blobOff, header_->blobLen)) {
     err = "store \"" + path + "\" has sections past EOF (truncated?)";
+    return false;
+  }
+  // The names section bounds the axis and metric counts, so the column
+  // layout below is never sized from a wild count.
+  if (!within(header_->namesOff,
+              4ull * (static_cast<std::uint64_t>(header_->axisCount) + header_->metricCount))) {
+    err = "store \"" + path + "\" names section past EOF";
     return false;
   }
 
   const std::vector<std::uint32_t> layout =
       columnLayout(header_->axisCount, header_->metricCount);
+  if (header_->cells > size_ / rowBytes(layout)) {
+    err = "store \"" + path + "\" claims more cells than the file holds";
+    return false;
+  }
   columnOff_.clear();
   columnOff_.reserve(layout.size());
   std::uint64_t pos = header_->columnsOff;
@@ -76,12 +99,6 @@ bool StoreReader::open(const std::string& path, std::string& err) {
     return false;
   }
 
-  const std::uint64_t namesEnd =
-      header_->namesOff + 4ull * (header_->axisCount + header_->metricCount);
-  if (namesEnd > size_) {
-    err = "store \"" + path + "\" names section past EOF";
-    return false;
-  }
   const char* names = map_ + header_->namesOff;
   axisNames_.clear();
   metricNames_.clear();

@@ -50,8 +50,10 @@ bool preadAll(int fd, char* p, std::size_t len, std::uint64_t off, std::string& 
 }
 
 template <typename T>
-void putField(std::string& row, std::size_t offset, T v) {
-  std::memcpy(row.data() + offset, &v, sizeof(T));
+void appendRaw(std::string& out, T v) {
+  char buf[sizeof(T)];
+  std::memcpy(buf, &v, sizeof(T));
+  out.append(buf, sizeof(T));
 }
 
 template <typename T>
@@ -59,6 +61,11 @@ T getField(const char* row, std::size_t offset) {
   T v;
   std::memcpy(&v, row + offset, sizeof(T));
   return v;
+}
+
+template <typename T>
+void putField(char* row, std::size_t offset, T v) {
+  std::memcpy(row + offset, &v, sizeof(T));
 }
 
 /// Appends `bytes` plus zero padding up to the next 8-byte boundary.
@@ -74,26 +81,51 @@ bool writeSection(int fd, const std::string& bytes, std::uint64_t& pos, std::str
   return true;
 }
 
+// The spool record appendCell writes per cell (internal to the writer):
+//   u32 cell_index, label_id, axis value ids x axisCount, seeds,
+//   failures, delivered, valid, invalid, k (metric entries), pb_len,
+//   tm_len;
+//   k entries of u32 name_id + the metric's column fields from count
+//   through q_len (kMomentBytes of moments, then u32 q_len);
+//   then the k quantile blobs, the probe blob and the telemetry blob.
+// String ids are spool ids; finish() remaps them to canonical ones.
+constexpr std::size_t kMomentBytes = 6 * 8;  // count, mean, m2, min, max, sum
+constexpr std::size_t kEntryBytes = 4 + kMomentBytes + 4;
+
+/// Appends a metric's moment fields and q_len to `fields` and its
+/// quantile blob to `blobs`.  `strip` (wall_sec under stripWall) zeroes
+/// everything but the count.
+void appendMetric(const StreamingStats& s, bool strip, std::string& fields, std::string& blobs) {
+  const OnlineStats& mo = s.moments;
+  appendRaw<std::uint64_t>(fields, mo.count());
+  appendRaw(fields, strip ? 0.0 : mo.mean());
+  appendRaw(fields, strip ? 0.0 : mo.m2());
+  appendRaw(fields, strip ? 0.0 : mo.min());
+  appendRaw(fields, strip ? 0.0 : mo.max());
+  appendRaw(fields, strip ? 0.0 : mo.sum());
+  static const StreamingQuantiles kNoSamples;
+  const std::size_t before = blobs.size();
+  appendQuantileBlob(strip ? kNoSamples : s.quantiles, blobs);
+  appendRaw(fields, static_cast<std::uint32_t>(blobs.size() - before));
+}
+
 }  // namespace
 
 StoreWriter::~StoreWriter() {
-  if (rowsFd_ >= 0) {
-    // open() succeeded but finish() never did: drop the spool files.
+  if (spoolFd_ >= 0) {
+    // open() succeeded but finish() never did: drop the spool file.
     closeFds();
     removeTemps();
   }
 }
 
 void StoreWriter::closeFds() {
-  if (rowsFd_ >= 0) ::close(rowsFd_);
-  if (blobFd_ >= 0) ::close(blobFd_);
-  rowsFd_ = -1;
-  blobFd_ = -1;
+  if (spoolFd_ >= 0) ::close(spoolFd_);
+  spoolFd_ = -1;
 }
 
 void StoreWriter::removeTemps() {
-  ::unlink((path_ + ".rows.tmp").c_str());
-  ::unlink((path_ + ".blob.tmp").c_str());
+  ::unlink((path_ + ".spool.tmp").c_str());
   ::unlink((path_ + ".tmp").c_str());
 }
 
@@ -110,8 +142,8 @@ std::uint32_t StoreWriter::intern(const std::string& s) {
 bool StoreWriter::open(const std::string& path, const StoreMeta& meta, std::string& err) {
   path_ = path;
   meta_ = meta;
-  // The store may open before the campaign's out-dir exists (the runner
-  // creates it at report-write time, after the cells run).
+  // The store may open before the campaign's out-dir exists (the cell
+  // files create it as the cells run).
   const std::filesystem::path parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) {
     std::error_code ec;
@@ -121,51 +153,18 @@ bool StoreWriter::open(const std::string& path, const StoreMeta& meta, std::stri
       return false;
     }
   }
-  const std::string rowsPath = path + ".rows.tmp";
-  const std::string blobPath = path + ".blob.tmp";
-  rowsFd_ = ::open(rowsPath.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
-  if (rowsFd_ < 0) {
-    err = "cannot create \"" + rowsPath + "\": " + std::strerror(errno);
-    return false;
-  }
-  blobFd_ = ::open(blobPath.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
-  if (blobFd_ < 0) {
-    err = "cannot create \"" + blobPath + "\": " + std::strerror(errno);
-    ::close(rowsFd_);
-    rowsFd_ = -1;
-    ::unlink(rowsPath.c_str());
+  const std::string spoolPath = path + ".spool.tmp";
+  spoolFd_ = ::open(spoolPath.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
+  if (spoolFd_ < 0) {
+    err = "cannot create \"" + spoolPath + "\": " + std::strerror(errno);
     return false;
   }
   // Interned before any row so their ids do not depend on cell content.
   (void)intern(meta_.campaign);
   (void)intern(meta_.base);
-  written_.assign(meta_.cellSlots, false);
+  spool_.assign(meta_.cellSlots, SpoolEntry{});
   writtenCount_ = 0;
-  blobSize_ = 0;
-  return true;
-}
-
-bool StoreWriter::bindSchema(const StoreCellRow& row, std::string& err) {
-  axisNames_.clear();
-  metricNames_.clear();
-  for (const auto& [key, value] : row.assignments) {
-    (void)value;
-    axisNames_.push_back(key);
-    (void)intern(key);
-  }
-  if (row.stats != nullptr) {
-    for (const auto& [name, stats] : *row.stats) {
-      (void)stats;
-      metricNames_.push_back(name);
-      (void)intern(name);
-    }
-  }
-  layout_ = columnLayout(static_cast<std::uint32_t>(axisNames_.size()),
-                         static_cast<std::uint32_t>(metricNames_.size()));
-  fieldOffsets_ = rowFieldOffsets(layout_);
-  rowBytes_ = rowBytes(layout_);
-  schemaBound_ = true;
-  (void)err;
+  spoolSize_ = 0;
   return true;
 }
 
@@ -175,7 +174,7 @@ bool StoreWriter::appendCell(std::size_t slot, const StoreCellRow& row, std::str
       telemetry::counterId("store.cells_written");
   const telemetry::PhaseTimer timer(kWriteCell);
 
-  if (rowsFd_ < 0) {
+  if (spoolFd_ < 0) {
     err = "store writer is not open";
     return false;
   }
@@ -184,13 +183,18 @@ bool StoreWriter::appendCell(std::size_t slot, const StoreCellRow& row, std::str
           std::to_string(meta_.cellSlots) + ")";
     return false;
   }
-  if (written_[slot]) {
+  if (spool_[slot].len != 0) {
     err = "store slot " + std::to_string(slot) + " written twice";
     return false;
   }
-  if (!schemaBound_ && !bindSchema(row, err)) return false;
-
-  const auto axisCount = static_cast<std::uint32_t>(axisNames_.size());
+  if (!axesBound_) {
+    for (const auto& [key, value] : row.assignments) {
+      (void)value;
+      axisNames_.push_back(key);
+      (void)intern(key);
+    }
+    axesBound_ = true;
+  }
   if (row.assignments.size() != axisNames_.size()) {
     err = "cell " + std::to_string(row.cellIndex) + " has " +
           std::to_string(row.assignments.size()) + " axes, store schema has " +
@@ -198,9 +202,9 @@ bool StoreWriter::appendCell(std::size_t slot, const StoreCellRow& row, std::str
     return false;
   }
 
-  std::string rec(rowBytes_, '\0');
-  putField(rec, fieldOffsets_[kColCellIndex], static_cast<std::uint32_t>(row.cellIndex));
-  putField(rec, fieldOffsets_[kColLabel], intern(row.label));
+  std::string rec;
+  appendRaw(rec, static_cast<std::uint32_t>(row.cellIndex));
+  appendRaw(rec, intern(row.label));
   for (std::size_t a = 0; a < axisNames_.size(); ++a) {
     if (row.assignments[a].first != axisNames_[a]) {
       err = "cell " + std::to_string(row.cellIndex) + " axis \"" +
@@ -208,89 +212,31 @@ bool StoreWriter::appendCell(std::size_t slot, const StoreCellRow& row, std::str
             axisNames_[a] + "\"";
       return false;
     }
-    putField(rec, fieldOffsets_[colAxis(a)], intern(row.assignments[a].second));
+    appendRaw(rec, intern(row.assignments[a].second));
   }
-  putField(rec, fieldOffsets_[colSeeds(axisCount)], static_cast<std::uint32_t>(row.seeds));
-  putField(rec, fieldOffsets_[colFailures(axisCount)],
-           static_cast<std::uint32_t>(row.failures));
-  putField(rec, fieldOffsets_[colDelivered(axisCount)],
-           static_cast<std::uint32_t>(row.delivered));
-  putField(rec, fieldOffsets_[colValid(axisCount)], static_cast<std::uint32_t>(row.valid));
-  putField(rec, fieldOffsets_[colInvalid(axisCount)],
-           static_cast<std::uint32_t>(row.invalid));
+  appendRaw(rec, static_cast<std::uint32_t>(row.seeds));
+  appendRaw(rec, static_cast<std::uint32_t>(row.failures));
+  appendRaw(rec, static_cast<std::uint32_t>(row.delivered));
+  appendRaw(rec, static_cast<std::uint32_t>(row.valid));
+  appendRaw(rec, static_cast<std::uint32_t>(row.invalid));
 
-  // Every stat the row carries must be a schema metric: a new name
-  // appearing mid-campaign means the first cell bound an incomplete
-  // schema, and silently dropping data is worse than failing the run.
   static const NamedStats kEmptyStats;
   const NamedStats& stats = row.stats != nullptr ? *row.stats : kEmptyStats;
-  for (const auto& [name, s] : stats) {
-    (void)s;
-    bool known = false;
-    for (const std::string& m : metricNames_) {
-      if (m == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      err = "cell " + std::to_string(row.cellIndex) + " metric \"" + name +
-            "\" is not in the store schema (bound by the first cell)";
-      return false;
-    }
-  }
-
+  std::string entries;
   std::string blobs;
-  for (std::size_t m = 0; m < metricNames_.size(); ++m) {
-    const StreamingStats* s = nullptr;
-    // Display order normally matches the schema exactly; fall back to a
-    // name search so a metric missing from one cell shifts nothing.
-    if (m < stats.size() && stats[m].first == metricNames_[m]) {
-      s = &stats[m].second;
-    } else {
-      for (const auto& [name, candidate] : stats) {
-        if (name == metricNames_[m]) {
-          s = &candidate;
-          break;
-        }
-      }
-    }
-    StreamingStats empty;
-    const bool strip = meta_.stripWall && metricNames_[m] == "wall_sec";
-    if (s == nullptr) s = &empty;
-
-    const OnlineStats& mo = s->moments;
-    putField(rec, fieldOffsets_[colMetric(axisCount, m, kMetricCount)],
-             static_cast<std::uint64_t>(mo.count()));
-    putField(rec, fieldOffsets_[colMetric(axisCount, m, kMetricMean)],
-             strip ? 0.0 : mo.mean());
-    putField(rec, fieldOffsets_[colMetric(axisCount, m, kMetricM2)], strip ? 0.0 : mo.m2());
-    putField(rec, fieldOffsets_[colMetric(axisCount, m, kMetricMin)], strip ? 0.0 : mo.min());
-    putField(rec, fieldOffsets_[colMetric(axisCount, m, kMetricMax)], strip ? 0.0 : mo.max());
-    putField(rec, fieldOffsets_[colMetric(axisCount, m, kMetricSum)], strip ? 0.0 : mo.sum());
-
-    const std::uint64_t qOff = blobSize_ + blobs.size();
-    const std::size_t before = blobs.size();
-    appendQuantileBlob(strip ? empty.quantiles : s->quantiles, blobs);
-    putField(rec, fieldOffsets_[colMetric(axisCount, m, kMetricQOff)], qOff);
-    putField(rec, fieldOffsets_[colMetric(axisCount, m, kMetricQLen)],
-             static_cast<std::uint32_t>(blobs.size() - before));
+  for (std::size_t k = 0; k < stats.size(); ++k) {
+    const auto& [name, s] = stats[k];
+    appendRaw(entries, intern(name));
+    appendMetric(s, meta_.stripWall && name == "wall_sec", entries, blobs);
+    const auto [it, fresh] = metricFirst_.try_emplace(name, slot, k);
+    if (!fresh && std::make_pair(slot, k) < it->second) it->second = {slot, k};
   }
 
-  // Probe blob sits between the quantile blobs and the telemetry blob:
-  // it carries no string ids (needs no remap at finish), and keeping the
-  // telemetry blob last preserves finish()'s "remap the cell's trailing
-  // tmLen bytes" invariant.
-  {
-    static const telemetry::ProbeState kNoProbes;
-    const std::uint64_t pbOff = blobSize_ + blobs.size();
-    const std::size_t pbBefore = blobs.size();
-    appendProbeBlob(row.probes != nullptr ? *row.probes : kNoProbes, blobs);
-    const auto mc = static_cast<std::uint32_t>(metricNames_.size());
-    putField(rec, fieldOffsets_[colPbOff(axisCount, mc)], pbOff);
-    putField(rec, fieldOffsets_[colPbLen(axisCount, mc)],
-             static_cast<std::uint32_t>(blobs.size() - pbBefore));
-  }
+  // The probe blob carries no string ids; the telemetry blob (last) does.
+  static const telemetry::ProbeState kNoProbes;
+  const std::size_t pbBefore = blobs.size();
+  appendProbeBlob(row.probes != nullptr ? *row.probes : kNoProbes, blobs);
+  const std::size_t pbLen = blobs.size() - pbBefore;
 
   std::vector<std::pair<std::uint32_t, double>> tmEntries;
   if (row.telemetry != nullptr) {
@@ -304,23 +250,17 @@ bool StoreWriter::appendCell(std::size_t slot, const StoreCellRow& row, std::str
       tmEntries.emplace_back(intern(name), isWall ? 0.0 : value);
     }
   }
-  const std::uint64_t tmOff = blobSize_ + blobs.size();
   const std::size_t tmBefore = blobs.size();
   appendTelemetryBlob(tmEntries, blobs);
-  putField(rec, fieldOffsets_[colTmOff(axisCount, static_cast<std::uint32_t>(
-                                                      metricNames_.size()))],
-           tmOff);
-  putField(rec, fieldOffsets_[colTmLen(axisCount, static_cast<std::uint32_t>(
-                                                      metricNames_.size()))],
-           static_cast<std::uint32_t>(blobs.size() - tmBefore));
 
-  if (!pwriteAll(blobFd_, blobs.data(), blobs.size(), blobSize_, err)) return false;
-  blobSize_ += blobs.size();
-  if (!pwriteAll(rowsFd_, rec.data(), rec.size(),
-                 static_cast<std::uint64_t>(slot) * rowBytes_, err)) {
-    return false;
-  }
-  written_[slot] = true;
+  appendRaw(rec, static_cast<std::uint32_t>(stats.size()));
+  appendRaw(rec, static_cast<std::uint32_t>(pbLen));
+  appendRaw(rec, static_cast<std::uint32_t>(blobs.size() - tmBefore));
+  rec += entries;
+  rec += blobs;
+  if (!pwriteAll(spoolFd_, rec.data(), rec.size(), spoolSize_, err)) return false;
+  spool_[slot] = SpoolEntry{spoolSize_, static_cast<std::uint32_t>(rec.size())};
+  spoolSize_ += rec.size();
   ++writtenCount_;
   telemetry::counterAdd(kCellsWritten);
   return true;
@@ -329,13 +269,13 @@ bool StoreWriter::appendCell(std::size_t slot, const StoreCellRow& row, std::str
 bool StoreWriter::finish(std::string& err) {
   static const telemetry::CounterId kBytesWritten =
       telemetry::counterId("store.bytes_written");
-  if (rowsFd_ < 0) {
+  if (spoolFd_ < 0) {
     err = "store writer is not open";
     return false;
   }
   if (writtenCount_ != meta_.cellSlots) {
-    for (std::size_t i = 0; i < written_.size(); ++i) {
-      if (!written_[i]) {
+    for (std::size_t i = 0; i < spool_.size(); ++i) {
+      if (spool_[i].len == 0) {
         err = "store is missing slot " + std::to_string(i) + " (" +
               std::to_string(writtenCount_) + "/" + std::to_string(meta_.cellSlots) +
               " written)";
@@ -343,19 +283,24 @@ bool StoreWriter::finish(std::string& err) {
       }
     }
   }
-  if (!schemaBound_) {
-    // Zero-cell store: header + strings only, empty column set.
-    StoreCellRow empty;
-    if (!bindSchema(empty, err)) return false;
-  }
+
+  // The union metric schema: names in the order a scan of the slots in
+  // order meets them, each row in its display order.  When every row
+  // carries the same metrics this is the first slot's display order.
+  std::vector<std::pair<std::pair<std::size_t, std::size_t>, std::string>> firstSeen;
+  firstSeen.reserve(metricFirst_.size());
+  for (const auto& [name, first] : metricFirst_) firstSeen.emplace_back(first, name);
+  std::sort(firstSeen.begin(), firstSeen.end());
+  std::vector<std::string> metricNames;
+  metricNames.reserve(firstSeen.size());
+  for (const auto& [first, name] : firstSeen) metricNames.push_back(name);
 
   const auto n = static_cast<std::uint64_t>(meta_.cellSlots);
   const auto axisCount = static_cast<std::uint32_t>(axisNames_.size());
-  const auto metricCount = static_cast<std::uint32_t>(metricNames_.size());
-  const std::size_t tmOffField = colTmOff(axisCount, metricCount);
-  const std::size_t tmLenField = colTmLen(axisCount, metricCount);
-  const std::size_t pbOffField = colPbOff(axisCount, metricCount);
-  const std::size_t pbLenField = colPbLen(axisCount, metricCount);
+  const auto metricCount = static_cast<std::uint32_t>(metricNames.size());
+  const std::vector<std::uint32_t> layout = columnLayout(axisCount, metricCount);
+  const std::vector<std::size_t> fieldOffsets = rowFieldOffsets(layout);
+  const std::size_t recBytes = rowBytes(layout);
 
   // Canonical string table.  The spool interned strings in appendCell
   // arrival order, which differs between an inline campaign and forked
@@ -381,34 +326,13 @@ bool StoreWriter::finish(std::string& err) {
     canonicalStrings += s;
     canonicalStrings.push_back('\0');
   }
-
-  // Chunked row reads keep finish() at O(chunk) memory no matter the
-  // campaign size.
-  const std::size_t chunkRows =
-      rowBytes_ > 0 ? std::max<std::size_t>(1, (4u << 20) / rowBytes_) : 1;
-  std::string chunk;
-
-  // Pass 1: per-slot blob bases in the canonical (slot-order) final
-  // layout — the only O(cells) state, 8 bytes per slot.
-  std::vector<std::uint64_t> blobBase(meta_.cellSlots, 0);
-  std::uint64_t blobTotal = 0;
-  for (std::uint64_t at = 0; at < n; at += chunkRows) {
-    const std::size_t rows = static_cast<std::size_t>(std::min<std::uint64_t>(chunkRows, n - at));
-    chunk.resize(rows * rowBytes_);
-    if (!preadAll(rowsFd_, chunk.data(), chunk.size(), at * rowBytes_, err)) return false;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const char* rec = chunk.data() + r * rowBytes_;
-      blobBase[at + r] = blobTotal;
-      for (std::uint32_t m = 0; m < metricCount; ++m) {
-        blobTotal += getField<std::uint32_t>(
-            rec, fieldOffsets_[colMetric(axisCount, m, kMetricQLen)]);
-      }
-      blobTotal += getField<std::uint32_t>(rec, fieldOffsets_[pbLenField]);
-      blobTotal += getField<std::uint32_t>(rec, fieldOffsets_[tmLenField]);
-    }
+  // Spool metric-name id -> schema position.
+  std::unordered_map<std::uint32_t, std::uint32_t> schemaOf;
+  for (std::uint32_t m = 0; m < metricCount; ++m) {
+    schemaOf.emplace(stringIds_.at(metricNames[m]), m);
   }
 
-  // Section offsets are all computable up front.
+  // Every section offset but the blob length is known up front.
   StoreHeader header{};
   std::memcpy(header.magic, kMagic, sizeof kMagic);
   header.version = kStoreVersion;
@@ -424,10 +348,13 @@ bool StoreWriter::finish(std::string& err) {
   header.namesOff = alignUp8(header.stringsOff + header.stringsLen);
   header.columnsOff =
       alignUp8(header.namesOff + 4ull * (axisCount + static_cast<std::uint64_t>(metricCount)));
+  std::vector<std::uint64_t> colStart(layout.size());
   std::uint64_t pos = header.columnsOff;
-  for (std::uint32_t size : layout_) pos = alignUp8(pos + size * n);
+  for (std::size_t f = 0; f < layout.size(); ++f) {
+    colStart[f] = pos;
+    pos = alignUp8(pos + layout[f] * n);
+  }
   header.blobOff = pos;
-  header.blobLen = blobTotal;
   header.campaignNameId = canonicalIds.at(meta_.campaign);
   header.baseNameId = canonicalIds.at(meta_.base);
   header.totalCells = static_cast<std::uint32_t>(meta_.totalCells);
@@ -447,133 +374,140 @@ bool StoreWriter::finish(std::string& err) {
     return false;
   };
 
-  std::uint64_t out = 0;
-  {
-    std::string headerBytes(reinterpret_cast<const char*>(&header), sizeof header);
-    if (!writeSection(outFd, headerBytes, out, err)) return fail("");
-    if (!writeSection(outFd, canonicalStrings, out, err)) return fail("");
-    std::string names;
-    names.reserve(4ull * (axisNames_.size() + metricNames_.size()));
-    const auto appendId = [&](const std::string& s) {
-      const std::uint32_t id = canonicalIds.at(s);
-      names.append(reinterpret_cast<const char*>(&id), sizeof id);
-    };
-    for (const std::string& a : axisNames_) appendId(a);
-    for (const std::string& m : metricNames_) appendId(m);
-    if (!writeSection(outFd, names, out, err)) return fail("");
-  }
-  if (out != header.columnsOff) return fail("store layout accounting bug (columnsOff)");
+  // The empty accumulator a row lacking a metric gets.
+  std::string absentFields;
+  std::string absentBlob;
+  appendMetric(StreamingStats(), false, absentFields, absentBlob);
 
-  // Column passes: one strided scan of the spool per column.  q_off and
-  // tm_off are rewritten from spool offsets to canonical blob offsets.
-  for (std::size_t field = 0; field < layout_.size(); ++field) {
-    const std::uint32_t elemSize = layout_[field];
-    bool isQOff = false;
-    std::uint32_t qOffMetric = 0;
-    for (std::uint32_t m = 0; m < metricCount; ++m) {
-      if (field == colMetric(axisCount, m, kMetricQOff)) {
-        isQOff = true;
-        qOffMetric = m;
-        break;
+  // One pass over the slots in order, a chunk of rows at a time (O(chunk)
+  // memory whatever the campaign size): each spool record becomes one
+  // packed row in the final layout, with canonical string ids and blob
+  // offsets, while its blobs go straight to the blob section in schema
+  // order (metrics, then probes, then telemetry).  Each full chunk is
+  // then transposed into its slice of every column.
+  const std::size_t chunkRows = std::max<std::size_t>(1, (4u << 20) / recBytes);
+  std::string chunk;
+  std::string col;
+  std::string rec;
+  std::string cellBlobs;
+  std::vector<int> entryOf(metricCount);
+  std::vector<std::uint64_t> qStart;
+  std::uint64_t blobPos = 0;
+  for (std::uint64_t at = 0; at < n; at += chunkRows) {
+    const auto rows = static_cast<std::size_t>(std::min<std::uint64_t>(chunkRows, n - at));
+    chunk.assign(rows * recBytes, '\0');
+    for (std::size_t r = 0; r < rows; ++r) {
+      const SpoolEntry& entry = spool_[at + r];
+      rec.resize(entry.len);
+      if (!preadAll(spoolFd_, rec.data(), rec.size(), entry.off, err)) return fail("");
+      char* out = chunk.data() + r * recBytes;
+      const char* in = rec.data();
+      std::size_t cursor = 0;
+      const auto take = [&]() {
+        const auto v = getField<std::uint32_t>(in, cursor);
+        cursor += 4;
+        return v;
+      };
+      putField(out, fieldOffsets[kColCellIndex], take());
+      putField(out, fieldOffsets[kColLabel], remap.at(take()));
+      for (std::uint32_t a = 0; a < axisCount; ++a) {
+        putField(out, fieldOffsets[colAxis(a)], remap.at(take()));
       }
-    }
-    const bool isTmOff = field == tmOffField;
-    const bool isPbOff = field == pbOffField;
-    // Label and axis-value columns hold string ids that must follow the
-    // canonical re-pooling.
-    const bool isStringId =
-        field == kColLabel || (field >= colAxis(0) && field < colAxis(axisCount));
+      for (std::size_t f = colSeeds(axisCount); f <= colInvalid(axisCount); ++f) {
+        putField(out, fieldOffsets[f], take());
+      }
+      const std::uint32_t k = take();
+      const std::uint32_t pbLen = take();
+      const std::uint32_t tmLen = take();
+      const char* entries = in + cursor;
+      const char* blobs = entries + static_cast<std::size_t>(k) * kEntryBytes;
 
-    std::string col;
-    for (std::uint64_t at = 0; at < n; at += chunkRows) {
-      const std::size_t rows =
-          static_cast<std::size_t>(std::min<std::uint64_t>(chunkRows, n - at));
-      chunk.resize(rows * rowBytes_);
-      if (!preadAll(rowsFd_, chunk.data(), chunk.size(), at * rowBytes_, err)) return fail("");
+      std::fill(entryOf.begin(), entryOf.end(), -1);
+      qStart.assign(k, 0);
+      std::uint64_t q = 0;
+      for (std::uint32_t i = 0; i < k; ++i) {
+        const char* e = entries + static_cast<std::size_t>(i) * kEntryBytes;
+        int& slot = entryOf[schemaOf.at(getField<std::uint32_t>(e, 0))];
+        if (slot < 0) slot = static_cast<int>(i);
+        qStart[i] = q;
+        q += getField<std::uint32_t>(e, 4 + kMomentBytes);
+      }
+
+      cellBlobs.clear();
+      for (std::uint32_t m = 0; m < metricCount; ++m) {
+        const std::uint64_t qOff = blobPos + cellBlobs.size();
+        std::uint32_t qLen = 0;
+        char* fields = out + fieldOffsets[colMetric(axisCount, m, kMetricCount)];
+        if (entryOf[m] >= 0) {
+          const char* e = entries + static_cast<std::size_t>(entryOf[m]) * kEntryBytes;
+          std::memcpy(fields, e + 4, kMomentBytes);
+          qLen = getField<std::uint32_t>(e, 4 + kMomentBytes);
+          cellBlobs.append(blobs + qStart[entryOf[m]], qLen);
+        } else {
+          std::memcpy(fields, absentFields.data(), kMomentBytes);
+          qLen = static_cast<std::uint32_t>(absentBlob.size());
+          cellBlobs += absentBlob;
+        }
+        putField(out, fieldOffsets[colMetric(axisCount, m, kMetricQOff)], qOff);
+        putField(out, fieldOffsets[colMetric(axisCount, m, kMetricQLen)], qLen);
+      }
+      putField(out, fieldOffsets[colPbOff(axisCount, metricCount)],
+               blobPos + cellBlobs.size());
+      putField(out, fieldOffsets[colPbLen(axisCount, metricCount)], pbLen);
+      cellBlobs.append(blobs + q, pbLen);
+      putField(out, fieldOffsets[colTmOff(axisCount, metricCount)],
+               blobPos + cellBlobs.size());
+      putField(out, fieldOffsets[colTmLen(axisCount, metricCount)], tmLen);
+      // The telemetry blob embeds string ids: remap them in place.
+      // Layout: u32 entry count, then (u32 id, f64) pairs.
+      const std::size_t tmAt = cellBlobs.size();
+      cellBlobs.append(blobs + q + pbLen, tmLen);
+      const auto tmEntries = getField<std::uint32_t>(cellBlobs.data(), tmAt);
+      for (std::uint32_t e = 0; e < tmEntries; ++e) {
+        const std::size_t idAt = tmAt + 4 + static_cast<std::size_t>(e) * 12;
+        putField(cellBlobs.data(), idAt,
+                 remap.at(getField<std::uint32_t>(cellBlobs.data(), idAt)));
+      }
+
+      if (!pwriteAll(outFd, cellBlobs.data(), cellBlobs.size(), header.blobOff + blobPos,
+                     err)) {
+        return fail("");
+      }
+      blobPos += cellBlobs.size();
+    }
+    for (std::size_t f = 0; f < layout.size(); ++f) {
+      const std::uint32_t elemSize = layout[f];
       col.resize(rows * elemSize);
       for (std::size_t r = 0; r < rows; ++r) {
-        const char* rec = chunk.data() + r * rowBytes_;
-        if (isQOff || isTmOff || isPbOff) {
-          // Canonical offset: this slot's base plus the lengths of the
-          // blobs that precede it within the cell (metric order, then
-          // probes, then telemetry) — all readable from the same row.
-          std::uint64_t off = blobBase[at + r];
-          const std::uint32_t upto = isQOff ? qOffMetric : metricCount;
-          for (std::uint32_t m = 0; m < upto; ++m) {
-            off += getField<std::uint32_t>(
-                rec, fieldOffsets_[colMetric(axisCount, m, kMetricQLen)]);
-          }
-          if (isTmOff) {
-            off += getField<std::uint32_t>(rec, fieldOffsets_[pbLenField]);
-          }
-          std::memcpy(col.data() + r * elemSize, &off, sizeof off);
-        } else if (isStringId) {
-          const std::uint32_t id = remap.at(getField<std::uint32_t>(rec, fieldOffsets_[field]));
-          std::memcpy(col.data() + r * elemSize, &id, sizeof id);
-        } else {
-          std::memcpy(col.data() + r * elemSize, rec + fieldOffsets_[field], elemSize);
-        }
+        std::memcpy(col.data() + r * elemSize, chunk.data() + r * recBytes + fieldOffsets[f],
+                    elemSize);
       }
-      if (!pwriteAll(outFd, col.data(), col.size(), out, err)) return fail("");
-      out += col.size();
-    }
-    const std::uint64_t aligned = alignUp8(out);
-    if (aligned > out) {
-      const char pad[8] = {};
-      if (!pwriteAll(outFd, pad, aligned - out, out, err)) return fail("");
-      out = aligned;
+      if (!pwriteAll(outFd, col.data(), col.size(), colStart[f] + at * elemSize, err)) {
+        return fail("");
+      }
     }
   }
-  if (out != header.blobOff) return fail("store layout accounting bug (blobOff)");
+  for (std::size_t f = 0; f < layout.size(); ++f) {
+    const std::uint64_t end = colStart[f] + layout[f] * n;
+    const char pad[8] = {};
+    if (alignUp8(end) > end && !pwriteAll(outFd, pad, alignUp8(end) - end, end, err)) {
+      return fail("");
+    }
+  }
+  header.blobLen = blobPos;
 
-  // Blob pass: each cell's spool blobs are contiguous (appendCell writes
-  // them in one shot), so one read per cell re-emits them in slot order.
-  std::string blob;
-  for (std::uint64_t at = 0; at < n; at += chunkRows) {
-    const std::size_t rows =
-        static_cast<std::size_t>(std::min<std::uint64_t>(chunkRows, n - at));
-    chunk.resize(rows * rowBytes_);
-    if (!preadAll(rowsFd_, chunk.data(), chunk.size(), at * rowBytes_, err)) return fail("");
-    for (std::size_t r = 0; r < rows; ++r) {
-      const char* rec = chunk.data() + r * rowBytes_;
-      std::uint64_t cellLen = getField<std::uint32_t>(rec, fieldOffsets_[tmLenField]);
-      cellLen += getField<std::uint32_t>(rec, fieldOffsets_[pbLenField]);
-      for (std::uint32_t m = 0; m < metricCount; ++m) {
-        cellLen += getField<std::uint32_t>(
-            rec, fieldOffsets_[colMetric(axisCount, m, kMetricQLen)]);
-      }
-      if (cellLen == 0) continue;
-      // The cell's first spool blob: metric 0's quantile state, or the
-      // probe blob when there are no metrics (it precedes telemetry).
-      const std::uint64_t cellOff =
-          metricCount > 0
-              ? getField<std::uint64_t>(
-                    rec, fieldOffsets_[colMetric(axisCount, 0, kMetricQOff)])
-              : getField<std::uint64_t>(rec, fieldOffsets_[pbOffField]);
-      blob.resize(static_cast<std::size_t>(cellLen));
-      if (!preadAll(blobFd_, blob.data(), blob.size(), cellOff, err)) return fail("");
-      // The telemetry blob (the cell's last) embeds string ids: remap
-      // them in place.  Layout: u32 entry count, then (u32 id, f64) pairs.
-      const std::uint32_t tmLen = getField<std::uint32_t>(rec, fieldOffsets_[tmLenField]);
-      if (tmLen >= 4) {
-        char* tm = blob.data() + blob.size() - tmLen;
-        std::uint32_t entries = 0;
-        std::memcpy(&entries, tm, sizeof entries);
-        for (std::uint32_t e = 0; e < entries; ++e) {
-          char* at = tm + 4 + static_cast<std::size_t>(e) * 12;
-          std::uint32_t id = 0;
-          std::memcpy(&id, at, sizeof id);
-          id = remap.at(id);
-          std::memcpy(at, &id, sizeof id);
-        }
-      }
-      if (!pwriteAll(outFd, blob.data(), blob.size(), out, err)) return fail("");
-      out += blob.size();
-    }
+  std::uint64_t front = 0;
+  {
+    std::string headerBytes(reinterpret_cast<const char*>(&header), sizeof header);
+    if (!writeSection(outFd, headerBytes, front, err)) return fail("");
+    if (!writeSection(outFd, canonicalStrings, front, err)) return fail("");
+    std::string names;
+    names.reserve(4ull * (axisNames_.size() + metricNames.size()));
+    for (const std::string& a : axisNames_) appendRaw(names, canonicalIds.at(a));
+    for (const std::string& m : metricNames) appendRaw(names, canonicalIds.at(m));
+    if (!writeSection(outFd, names, front, err)) return fail("");
   }
-  if (out != header.blobOff + header.blobLen) {
-    return fail("store layout accounting bug (blobLen)");
-  }
+  if (front != header.columnsOff) return fail("store layout accounting bug (columnsOff)");
 
   if (::fsync(outFd) != 0) {
     return fail("fsync: " + std::string(std::strerror(errno)));
@@ -586,8 +520,8 @@ bool StoreWriter::finish(std::string& err) {
   }
   closeFds();
   removeTemps();
-  bytesWritten_ = out;
-  telemetry::counterAdd(kBytesWritten, static_cast<std::uint64_t>(out));
+  bytesWritten_ = header.blobOff + blobPos;
+  telemetry::counterAdd(kBytesWritten, bytesWritten_);
   return true;
 }
 

@@ -12,18 +12,19 @@
 
 /// Streaming writer for the columnar campaign store.
 ///
-/// Rows land by *slot* — the cell's position in the shard's expansion
-/// order — via pwrite into a fixed-width spool file, so the coordinator
-/// can append RESULT frames in whatever order workers finish and still
-/// produce the same bytes as an inline campaign appending in order:
-/// the spool is positional, the variable-length blobs are reordered
-/// canonically at finish(), and the final file is assembled column by
-/// column with chunked strided reads (O(chunk) memory, never
-/// all-rows-in-memory) and renamed into place atomically.
+/// appendCell serializes each cell (its counters, its metrics by name
+/// and its blobs) as one record appended to a spool file, so the
+/// coordinator can append RESULT frames in whatever order workers finish
+/// and still produce the same bytes as an inline campaign appending in
+/// order: the metric schema is only fixed at finish(), as the union of
+/// every row's metric names in slot-scan order, and finish() then walks
+/// the slots in order, building the columns in chunks (O(chunk) memory,
+/// never all-rows-in-memory) and emitting the blobs canonically, before
+/// renaming the file into place atomically.
 ///
-/// Memory: a string table (labels/axis values/telemetry names — shared,
-/// tiny), a written-slot bitmap, and one 8-byte blob base per slot at
-/// finish time.  No per-seed rows, no row buffering.
+/// Memory: a string table (labels/axis values/metric and telemetry
+/// names — shared, tiny), each metric's first (slot, position), and one
+/// spool offset + length per slot.  No per-seed rows, no row buffering.
 namespace mcs::store {
 
 struct StoreMeta {
@@ -41,11 +42,13 @@ struct StoreMeta {
   std::uint32_t sketchThreshold = StreamingQuantiles::kDefaultExactThreshold;
 };
 
-/// One cell's row.  `stats` must be in display order (cellStats()); the
-/// first appended row binds the store's axis and metric schema, later
-/// rows must carry the same axis keys, and a metric missing from a row
-/// writes as an empty accumulator while an unknown metric name is a
-/// loud error.
+/// One cell's row.  `stats` in display order (cellStats()).  The first
+/// appended row binds the store's axis keys and every later row must
+/// carry the same ones; metrics may differ between rows.  The store's
+/// metric schema is the union over all rows, ordered as a scan of the
+/// slots in order meets the names (each row in its display order), and a
+/// metric a row lacks is written as the empty accumulator — so cells of
+/// different protocols share one store.
 struct StoreCellRow {
   int cellIndex = 0;
   std::string label;
@@ -70,45 +73,49 @@ class StoreWriter {
   StoreWriter(const StoreWriter&) = delete;
   StoreWriter& operator=(const StoreWriter&) = delete;
 
-  /// Creates the spool files next to `path`.  The store itself only
+  /// Creates the spool file next to `path`.  The store itself only
   /// appears (atomically) when finish() succeeds.
   [[nodiscard]] bool open(const std::string& path, const StoreMeta& meta, std::string& err);
 
-  /// Writes one cell at `slot` (0-based shard-order position, < cellSlots).
-  /// Each slot must be written exactly once, in any order.
+  /// Spools one cell at `slot` (0-based shard-order position,
+  /// < cellSlots).  Each slot must be written exactly once, in any order.
   [[nodiscard]] bool appendCell(std::size_t slot, const StoreCellRow& row, std::string& err);
 
-  /// Assembles the columnar file and renames it into place.  Fails if
-  /// any slot is missing.
+  /// Fixes the union metric schema, assembles the columnar file and
+  /// renames it into place.  Fails if any slot is missing.
   [[nodiscard]] bool finish(std::string& err);
 
   /// Final file size in bytes (valid after finish()).
   [[nodiscard]] std::uint64_t bytesWritten() const noexcept { return bytesWritten_; }
 
-  [[nodiscard]] bool isOpen() const noexcept { return rowsFd_ >= 0; }
+  [[nodiscard]] bool isOpen() const noexcept { return spoolFd_ >= 0; }
 
  private:
+  /// Where a slot's record sits in the spool; len 0 = not yet written.
+  struct SpoolEntry {
+    std::uint64_t off = 0;
+    std::uint32_t len = 0;
+  };
+
   [[nodiscard]] std::uint32_t intern(const std::string& s);
-  [[nodiscard]] bool bindSchema(const StoreCellRow& row, std::string& err);
   void closeFds();
   void removeTemps();
 
   std::string path_;
   StoreMeta meta_;
-  int rowsFd_ = -1;
-  int blobFd_ = -1;
-  std::uint64_t blobSize_ = 0;
+  int spoolFd_ = -1;
+  std::uint64_t spoolSize_ = 0;
 
-  bool schemaBound_ = false;
+  bool axesBound_ = false;
   std::vector<std::string> axisNames_;
-  std::vector<std::string> metricNames_;
-  std::vector<std::uint32_t> layout_;
-  std::vector<std::size_t> fieldOffsets_;
-  std::size_t rowBytes_ = 0;
+  /// Metric name -> (first slot carrying it, its position in that row):
+  /// sorting by this pair is the union schema's slot-scan order, whatever
+  /// order the rows arrived in.
+  std::unordered_map<std::string, std::pair<std::size_t, std::size_t>> metricFirst_;
 
   std::string strings_;  // concatenated NUL-terminated pool; id = offset
   std::unordered_map<std::string, std::uint32_t> stringIds_;
-  std::vector<bool> written_;
+  std::vector<SpoolEntry> spool_;
   std::size_t writtenCount_ = 0;
   std::uint64_t bytesWritten_ = 0;
 };

@@ -5,11 +5,12 @@
 
 #include "util/json.h"
 
-/// The perf-regression gate: diffs a candidate campaign JSON against a
-/// committed baseline and reports violations when metric means drift or
-/// wall time regresses beyond tolerance.  Cells are matched by label, so
-/// a baseline survives axis reordering-free edits and sharded candidates
-/// can be checked with allowMissing.
+/// The perf-regression gate: diffs a candidate campaign JSON (a store's
+/// summaries view) against a committed baseline and reports violations
+/// when metric means drift or wall time regresses beyond tolerance.
+/// Cells are matched by label, so a baseline survives axis
+/// reordering-free edits and sharded candidates can be checked with
+/// allowMissing.
 namespace mcs {
 
 struct SweepCheckOptions {
@@ -39,7 +40,8 @@ struct SweepCheckResult {
   [[nodiscard]] bool ok() const noexcept { return violations.empty(); }
 };
 
-/// Compares two campaign JSONs (the writeWorkQueueCampaignReport layout).
+/// Compares two campaign JSONs: the committed baselines and the store's
+/// summaries view (storeSummariesJson, store/query.h) share one layout.
 [[nodiscard]] SweepCheckResult compareCampaigns(const Json& baseline, const Json& candidate,
                                                 const SweepCheckOptions& opts);
 

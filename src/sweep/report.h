@@ -6,10 +6,7 @@
 #include "util/json.h"
 
 /// Per-cell JSON serialization: the cell files every campaign writes (the
-/// resume substrate, and the bytes campaign/report.h splices into the
-/// campaign report).  The layout is locked by a golden-file test;
-/// sweep_check consumes the campaign JSON, so layout changes need a
-/// baseline refresh.
+/// per-seed rows, and the resume substrate).
 namespace mcs {
 
 /// One cell as JSON: identity (index/label/assignments/scenario), batch
@@ -18,14 +15,15 @@ namespace mcs {
 
 /// A Summary as the JSON object the cell "summaries" block uses
 /// (count/mean/stddev/ci95/min/p50/p95/max).  Shared with the store's
-/// summaries view, so store-backed and file-backed reports match.
+/// summaries view (storeSummariesJson), so the committed baselines read
+/// the same blocks.
 [[nodiscard]] Json summaryToJson(const Summary& s);
 
-/// Zeroes every wall-clock field of a cell or campaign JSON tree in
-/// place (per-seed "wall_sec" values, the "wall_sec" summary block, and
-/// campaign meta wall time).  Wall time is the single nondeterministic
-/// field in an otherwise bit-reproducible report, so the byte-identity
-/// tests and tooling compare dumps after this canonicalization.
+/// Zeroes every wall-clock field of a cell JSON tree in place (per-seed
+/// "wall_sec" values and the "wall_sec" summary block).  Wall time is
+/// the single nondeterministic field in an otherwise bit-reproducible
+/// cell file, so the byte-identity tests compare dumps after this
+/// canonicalization.
 void stripWallTimes(Json& j);
 
 /// Writes one per-cell JSON (parent directory must exist).  The write is

@@ -36,10 +36,10 @@ struct CellResult {
   /// byte-identical to the pre-probes layout.
   telemetry::ProbeState probes;
 
-  /// The summary table the reports emit: slots, decode_rate,
+  /// The summary table the cell files carry: slots, decode_rate,
   /// structure_slots, wall_sec, then every named protocol metric.
-  /// Derived from cellStats(), so reports, RESULT frames, and store rows
-  /// all read the same accumulators.
+  /// Derived from cellStats(), so cell files, RESULT frames, and store
+  /// rows all read the same accumulators.
   [[nodiscard]] std::vector<std::pair<std::string, Summary>> summaries() const;
 };
 

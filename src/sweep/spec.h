@@ -11,7 +11,7 @@
 /// A sweep file is the same `key = value` / `#`-comment format as a
 /// scenario file, with three extra key forms:
 ///
-///   name      = e2_scaling          # campaign name (BENCH_sweep_<name>.json)
+///   name      = e2_scaling          # campaign name (BENCH_sweep_<name>.store)
 ///   base      = uniform_square      # start from a registry preset...
 ///   base_file = specs/dense.txt     # ...or from a scenario file
 ///   sweep.<key> = <values>          # a sweep axis over any scenario key

@@ -85,7 +85,7 @@ void probeProgress(std::uint64_t slot, std::uint64_t num, std::uint64_t den);
 /// Clears the global probe state (call before each cell's batch).
 void resetProbes();
 
-/// JSON round-trip for cell files, RESULT frames, and campaign reports:
+/// JSON round-trip for cell files, RESULT frames, and sweep_query --series:
 /// {"margin_db": <sketch>, "near_db": <sketch>, "far_db": <sketch>,
 ///  "series": {"span": s, "windows": [...]}} — lossless, so cell files
 /// and RESULT frames carry a cell's probe bytes exactly.

@@ -8,10 +8,9 @@
 namespace mcs {
 
 /// Escapes one CSV field per RFC 4180: fields containing commas, quotes,
-/// or line breaks are quoted with embedded quotes doubled.  Shared by
-/// CsvWriter and by the sweep campaign reports, so metric names and
-/// preset descriptions with punctuation survive a round trip through any
-/// CSV reader.
+/// or line breaks are quoted with embedded quotes doubled, so metric
+/// names and preset descriptions with punctuation survive a round trip
+/// through any CSV reader.
 [[nodiscard]] std::string csvEscape(const std::string& field);
 
 /// Joins already-unescaped fields into one CSV line (no trailing newline).

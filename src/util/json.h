@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
-/// Minimal JSON tree: enough to round-trip the sweep campaign reports
-/// (sweep/report.h) and to diff them in sweep_check.  Objects preserve
+/// Minimal JSON tree: enough to round-trip the sweep cell files
+/// (sweep/report.h) and to diff campaign views in sweep_check.  Objects preserve
 /// insertion order so serialization is deterministic and diffs are
 /// stable.  Numbers are doubles with shortest round-trip formatting,
 /// matching the BENCH_*.json convention from bench_common.h.

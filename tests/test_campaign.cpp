@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <sstream>
@@ -15,8 +16,8 @@
 #include "campaign/coordinator.h"
 #include "campaign/protocol.h"
 #include "campaign/reduce.h"
-#include "campaign/report.h"
 #include "campaign/worker.h"
+#include "store/query.h"
 #include "store/reader.h"
 #include "sweep/check.h"
 #include "sweep/expand.h"
@@ -30,10 +31,10 @@
 
 // The campaign coordinator: wire framing, the frame vocabulary,
 // cross-process moment transport, the fixed-shape tree reduction, and the
-// headline contracts — cell files, reports and stores byte-identical
-// between the inline and forked executors (wall times aside), resume
-// across executors, and worker-death requeues that leave no trace in the
-// output.
+// headline contracts — cell files and stores byte-identical between the
+// inline and forked executors (wall times aside), also for campaigns whose
+// cells carry different metrics, resume across executors, and
+// worker-death requeues that leave no trace in the output.
 namespace mcs {
 namespace campaign {
 namespace {
@@ -295,10 +296,6 @@ TEST(WorkQueue, MatchesInProcessRunByteForByte) {
   ASSERT_TRUE(runCampaignWorkQueue(spec, inlineOpts, ref, err)) << err;
   EXPECT_EQ(ref.leases, 3u);
   EXPECT_EQ(ref.workerDeaths, 0u);
-  std::string refReport;
-  ASSERT_TRUE(
-      writeWorkQueueCampaignReport(ref, inlineOpts.outDir, inlineOpts.outDir, refReport, err))
-      << err;
 
   // Candidate: two forked workers over the lease protocol.
   WorkQueueOptions wq;
@@ -311,8 +308,6 @@ TEST(WorkQueue, MatchesInProcessRunByteForByte) {
   EXPECT_EQ(run.workerDeaths, 0u);
   EXPECT_EQ(run.failures(), 0);
   ASSERT_EQ(run.cells.size(), 3u);
-  std::string wqReport;
-  ASSERT_TRUE(writeWorkQueueCampaignReport(run, wq.outDir, wq.outDir, wqReport, err)) << err;
 
   // Per-cell files: byte-identical after wall-time canonicalization.
   for (const CellRecord& rec : run.cells) {
@@ -322,23 +317,6 @@ TEST(WorkQueue, MatchesInProcessRunByteForByte) {
         << "cell " << rec.cell.index;
   }
 
-  // Whole spliced report, same canonicalization.
-  EXPECT_EQ(canonicalJsonBytes(wqReport), canonicalJsonBytes(refReport));
-
-  // CSVs too, modulo the wall_sec rows (drop them on both sides).
-  const std::string refCsv = dir + "/ref.csv";
-  const std::string wqCsv = dir + "/wq.csv";
-  ASSERT_TRUE(writeWorkQueueCampaignCsv(ref, inlineOpts.outDir, refCsv, err)) << err;
-  ASSERT_TRUE(writeWorkQueueCampaignCsv(run, wq.outDir, wqCsv, err)) << err;
-  auto withoutWallRows = [](const std::string& csv) {
-    std::istringstream in(csv);
-    std::string line, out;
-    while (std::getline(in, line)) {
-      if (line.find(",wall_sec,") == std::string::npos) out += line + "\n";
-    }
-    return out;
-  };
-  EXPECT_EQ(withoutWallRows(readFile(wqCsv)), withoutWallRows(readFile(refCsv)));
 
   // Both reductions match a direct per-seed accumulation over the cell
   // files, exactly.
@@ -363,52 +341,52 @@ TEST(WorkQueue, MatchesInProcessRunByteForByte) {
   }
 }
 
+/// Runs `spec` inline and with `workers` forked workers into stores with
+/// wall times stripped, expects the two files to be byte-identical, and
+/// returns the inline store's path.
+std::string expectExecutorIndependentStore(const SweepSpec& spec, const std::string& dir,
+                                           int workers) {
+  std::filesystem::remove_all(dir);
+  std::string bytes[2];
+  for (int forked = 0; forked < 2; ++forked) {
+    WorkQueueOptions opts;
+    opts.workers = forked != 0 ? workers : 0;
+    opts.outDir = dir + (forked != 0 ? "/forked" : "/inline");
+    opts.storePath = opts.outDir + ".store";
+    opts.storeStripWall = true;
+    WorkQueueCampaign run;
+    std::string err;
+    EXPECT_TRUE(runCampaignWorkQueue(spec, opts, run, err)) << err;
+    bytes[forked] = readFile(opts.storePath);
+  }
+  EXPECT_FALSE(bytes[0].empty());
+  EXPECT_EQ(bytes[1], bytes[0]);
+  return dir + "/inline.store";
+}
+
 TEST(WorkQueue, StoreMatchesInProcessByteForByte) {
   // The columnar store is positional (rows land by slot, blobs are
   // reordered canonically at finish), so with wall times stripped the
   // 4-worker store must be the same FILE — not just the same data — as
   // the inline one.
-  const std::string dir = testing::TempDir() + "wq_store";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const SweepSpec spec = tinySweep("wq_store");
-  std::string err;
-
-  WorkQueueOptions inlineOpts;
-  inlineOpts.outDir = dir + "/inline";
-  inlineOpts.storePath = dir + "/inline.store";
-  inlineOpts.storeStripWall = true;
-  WorkQueueCampaign ref;
-  ASSERT_TRUE(runCampaignWorkQueue(spec, inlineOpts, ref, err)) << err;
-
-  WorkQueueOptions wq;
-  wq.workers = 4;
-  wq.outDir = dir + "/wq";
-  wq.storePath = dir + "/wq.store";
-  wq.storeStripWall = true;
-  WorkQueueCampaign run;
-  ASSERT_TRUE(runCampaignWorkQueue(spec, wq, run, err)) << err;
-
-  const std::string refBytes = readFile(inlineOpts.storePath);
-  const std::string wqBytes = readFile(wq.storePath);
-  ASSERT_FALSE(refBytes.empty());
-  EXPECT_EQ(wqBytes, refBytes);
+  const std::string path =
+      expectExecutorIndependentStore(tinySweep("wq_store"), testing::TempDir() + "wq_store", 4);
 
   // And the store opens and reads back the campaign's shape.
   store::StoreReader reader;
-  ASSERT_TRUE(reader.open(wq.storePath, err)) << err;
+  std::string err;
+  ASSERT_TRUE(reader.open(path, err)) << err;
   EXPECT_EQ(reader.cells(), 3u);
   EXPECT_EQ(reader.campaignName(), "wq_store");
   EXPECT_NE(reader.metricIndex("slots"), -1);
   EXPECT_NE(reader.axisIndex("channels"), -1);
 }
 
-TEST(WorkQueue, TelemetryBlockIsIndependentOfTheExecutor) {
-  // With metrics armed, the report's campaign-wide "telemetry" block is
-  // the cells' summed telemetry plus the coordinator's own counters, so
-  // an inline run and a forked run list the same names with the same
-  // counter values.  Timer totals are wall-derived: only their counts
-  // are compared.
+TEST(WorkQueue, StoreTelemetryIsIndependentOfTheExecutor) {
+  // With metrics armed, each store row carries its cell's own telemetry,
+  // so an inline run and a forked run write the same rows: with the
+  // wall-derived timer totals stripped the two stores are the same file,
+  // and the counters sum to the same campaign totals.
   struct MetricsOn {
     MetricsOn() {
       telemetry::resetMetrics();
@@ -419,44 +397,109 @@ TEST(WorkQueue, TelemetryBlockIsIndependentOfTheExecutor) {
       telemetry::resetMetrics();
     }
   } metricsOn;
-  const std::string dir = testing::TempDir() + "wq_telemetry";
+  const std::string path = expectExecutorIndependentStore(
+      tinySweep("wq_telemetry"), testing::TempDir() + "wq_telemetry", 2);
+
+  store::StoreReader reader;
+  std::string err;
+  ASSERT_TRUE(reader.open(path, err)) << err;
+  store::StoreQuery totals;
+  totals.metrics = {"tm.sweep.cell.count", "tm.medium.slots"};
+  std::vector<store::QueryGroup> groups;
+  ASSERT_TRUE(store::runStoreQuery(reader, totals, groups, err)) << err;
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].stats[0].second.moments.sum(), 3.0);
+  EXPECT_GT(groups[0].stats[1].second.moments.sum(), 0.0);
+}
+
+/// A two-protocol campaign: agg_max cells and coloring cells carry
+/// different named metrics.
+SweepSpec mixedProtocolSweep(const std::string& name) {
+  SweepSpec spec;
+  spec.name = name;
+  std::string err;
+  EXPECT_TRUE(applySweepKey(spec, "base", "uniform_square", "", err)) << err;
+  EXPECT_TRUE(applySweepKey(spec, "n", "60", "", err)) << err;
+  EXPECT_TRUE(applySweepKey(spec, "seeds", "1", "", err)) << err;
+  EXPECT_TRUE(applySweepKey(spec, "seed0", "1", "", err)) << err;
+  EXPECT_TRUE(applySweepKey(spec, "sweep.protocol", "agg_max,coloring", "", err)) << err;
+  return spec;
+}
+
+TEST(WorkQueue, MixedProtocolStoreMatchesInProcessByteForByte) {
+  // The store's metric schema is the union over the cells, fixed at
+  // finish, so a campaign mixing protocols writes one store — the same
+  // file whichever executor ran it and in whatever order cells landed.
+  const std::string path = expectExecutorIndependentStore(
+      mixedProtocolSweep("wq_mixed"), testing::TempDir() + "wq_mixed", 2);
+
+  store::StoreReader reader;
+  std::string err;
+  ASSERT_TRUE(reader.open(path, err)) << err;
+  ASSERT_EQ(reader.cells(), 2u);
+  const int colors = reader.metricIndex("colors_used");
+  const int uplink = reader.metricIndex("uplink_slots");
+  ASSERT_GE(colors, 0);
+  ASSERT_GE(uplink, 0);
+  // Cell 0 (agg_max) lacks the coloring metric, cell 1 the aggregation one.
+  EXPECT_EQ(reader.momentsAt(static_cast<std::size_t>(colors), 0).count(), 0u);
+  EXPECT_EQ(reader.momentsAt(static_cast<std::size_t>(colors), 1).count(), 1u);
+  EXPECT_EQ(reader.momentsAt(static_cast<std::size_t>(uplink), 0).count(), 1u);
+  EXPECT_EQ(reader.momentsAt(static_cast<std::size_t>(uplink), 1).count(), 0u);
+}
+
+TEST(StoreQuery, ShardStoresWithDifferentMetricsUnion) {
+  // Sharding a protocol sweep puts the agg_max cell and the coloring cell
+  // in different stores with different schemas.  The default selection
+  // is the union (first store first), a metric one shard lacks reads as
+  // empty there, and only a metric no store holds is an error.
+  const std::string dir = testing::TempDir() + "wq_mixed_shards";
   std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const SweepSpec spec = tinySweep("wq_telemetry");
-
-  const auto reportTelemetry = [&](const std::string& tag, int workers) {
+  const SweepSpec spec = mixedProtocolSweep("wq_mixed_shards");
+  std::string err;
+  std::vector<std::unique_ptr<store::StoreReader>> shards;
+  for (int s = 0; s < 2; ++s) {
     WorkQueueOptions opts;
-    opts.workers = workers;
-    opts.outDir = dir + "/" + tag;
-    opts.storePath = dir + "/" + tag + ".store";
+    opts.shardIndex = s;
+    opts.shardCount = 2;
+    opts.outDir = dir;
+    opts.storePath = dir + "/shard" + std::to_string(s) + ".store";
     WorkQueueCampaign run;
-    std::string err, path;
-    EXPECT_TRUE(runCampaignWorkQueue(spec, opts, run, err)) << err;
-    EXPECT_TRUE(writeWorkQueueCampaignReport(run, opts.outDir, opts.outDir, path, err)) << err;
-    Json report;
-    EXPECT_TRUE(Json::parseFile(path, report, err)) << err;
-    const Json* tm = report.find("telemetry");
-    return tm != nullptr ? *tm : Json();
-  };
-  const Json inlineTm = reportTelemetry("inline", 0);
-  const Json forkedTm = reportTelemetry("forked", 2);
-  ASSERT_TRUE(inlineTm.isObject());
-  ASSERT_TRUE(forkedTm.isObject());
-  EXPECT_EQ(inlineTm.numberAt("tm.campaign.leases"), 3.0);
-  EXPECT_EQ(inlineTm.numberAt("tm.sweep.cell.count"), 3.0);
-  EXPECT_EQ(inlineTm.numberAt("tm.store.cells_written"), 3.0);
-  EXPECT_GT(inlineTm.numberAt("tm.medium.slots"), 0.0);
-
-  std::vector<std::string> inlineKeys, forkedKeys;
-  for (const auto& [name, value] : inlineTm.members()) inlineKeys.push_back(name);
-  for (const auto& [name, value] : forkedTm.members()) forkedKeys.push_back(name);
-  std::sort(inlineKeys.begin(), inlineKeys.end());
-  std::sort(forkedKeys.begin(), forkedKeys.end());
-  EXPECT_EQ(inlineKeys, forkedKeys);
-  for (const auto& [name, value] : inlineTm.members()) {
-    if (name.ends_with(".sec")) continue;
-    EXPECT_EQ(forkedTm.numberAt(name, -1.0), value.asDouble()) << name;
+    ASSERT_TRUE(runCampaignWorkQueue(spec, opts, run, err)) << err;
+    shards.push_back(std::make_unique<store::StoreReader>());
+    ASSERT_TRUE(shards.back()->open(opts.storePath, err)) << err;
   }
+  ASSERT_LT(shards[0]->metricIndex("colors_used"), 0);
+  ASSERT_GE(shards[1]->metricIndex("colors_used"), 0);
+  const std::vector<const store::StoreReader*> readers = {shards[0].get(), shards[1].get()};
+
+  std::vector<store::QueryGroup> groups;
+  ASSERT_TRUE(store::runStoreQueryUnion(readers, store::StoreQuery{}, groups, err)) << err;
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].cells, 2u);
+  std::vector<std::string> names;
+  for (const auto& [name, stats] : groups[0].stats) names.push_back(name);
+  std::vector<std::string> expected = shards[0]->metricNames();
+  for (const std::string& name : shards[1]->metricNames()) {
+    if (std::find(expected.begin(), expected.end(), name) == expected.end()) {
+      expected.push_back(name);
+    }
+  }
+  EXPECT_EQ(names, expected);
+  const auto statsOf = [&](const std::string& name) {
+    for (const auto& [n, stats] : groups[0].stats) {
+      if (n == name) return stats.moments.count();
+    }
+    return std::size_t{99};
+  };
+  EXPECT_EQ(statsOf("slots"), 2u);         // both shards
+  EXPECT_EQ(statsOf("colors_used"), 1u);   // the coloring shard only
+  EXPECT_EQ(statsOf("uplink_slots"), 1u);  // the agg_max shard only
+
+  store::StoreQuery missing;
+  missing.metrics = {"colors_used", "no_such_metric"};
+  EXPECT_FALSE(store::runStoreQueryUnion(readers, missing, groups, err));
+  EXPECT_NE(err.find("no_such_metric"), std::string::npos) << err;
   std::filesystem::remove_all(dir);
 }
 
@@ -549,16 +592,16 @@ TEST(WorkQueue, WorkerCrashRequeuesTheLeaseAndReproducesTheBytes) {
   WorkQueueOptions clean;
   clean.workers = 2;
   clean.outDir = dir + "/clean";
+  clean.storePath = dir + "/clean.store";
+  clean.storeStripWall = true;
   WorkQueueCampaign ref;
   ASSERT_TRUE(runCampaignWorkQueue(spec, clean, ref, err)) << err;
-  std::string refReport;
-  ASSERT_TRUE(writeWorkQueueCampaignReport(ref, clean.outDir, clean.outDir, refReport, err))
-      << err;
 
   // Faulted run: the worker holding cell 1's first lease is SIGKILLed
   // right after it acknowledges, mid-cell.
   WorkQueueOptions faulty = clean;
   faulty.outDir = dir + "/faulty";
+  faulty.storePath = dir + "/faulty.store";
   faulty.faultKillCell = 1;
   WorkQueueCampaign run;
   ASSERT_TRUE(runCampaignWorkQueue(spec, faulty, run, err)) << err;
@@ -567,18 +610,17 @@ TEST(WorkQueue, WorkerCrashRequeuesTheLeaseAndReproducesTheBytes) {
   EXPECT_EQ(run.leases, 4u);  // 3 cells + 1 re-lease of the killed cell
   EXPECT_EQ(run.failures(), 0);
   ASSERT_EQ(run.cells.size(), 3u);
-  std::string report;
-  ASSERT_TRUE(writeWorkQueueCampaignReport(run, faulty.outDir, faulty.outDir, report, err))
-      << err;
 
   // The crash must be invisible in the output: every cell file and the
-  // whole report byte-match the unharmed run after wall canonicalization.
+  // whole store byte-match the unharmed run after wall canonicalization.
   for (const CellRecord& rec : run.cells) {
     EXPECT_EQ(canonicalJsonBytes(cellFilePath(faulty.outDir, spec.name, rec.cell.index)),
               canonicalJsonBytes(cellFilePath(clean.outDir, spec.name, rec.cell.index)))
         << "cell " << rec.cell.index;
   }
-  EXPECT_EQ(canonicalJsonBytes(report), canonicalJsonBytes(refReport));
+  const std::string refBytes = readFile(clean.storePath);
+  ASSERT_FALSE(refBytes.empty());
+  EXPECT_EQ(readFile(faulty.storePath), refBytes);
 }
 
 TEST(WorkQueue, ComposesWithSharding) {

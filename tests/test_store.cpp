@@ -2,12 +2,14 @@
 // store/reader.h, store/query.h): what goes in comes back bit-identical
 // through the mmap, the file's bytes do not depend on row arrival
 // order (the property the coordinator's out-of-order RESULT appends
-// lean on), and queries over the mapping re-merge the per-cell
-// accumulators exactly.
+// lean on) even when rows carry different metrics, queries over the
+// mapping re-merge the per-cell accumulators exactly, and damaged files
+// fail open() cleanly instead of crashing a reader.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -107,7 +109,7 @@ TEST(Store, RoundTripsEveryColumnAndBlob) {
   const Fixture fx;
   const std::string path = testing::TempDir() + "store_roundtrip.store";
   std::string err;
-  // Out-of-order slots on purpose: the spool is positional.
+  // Out-of-order slots on purpose: rows land by slot, in any order.
   ASSERT_TRUE(fx.write(path, {2, 0, 3, 1}, err)) << err;
 
   store::StoreReader r;
@@ -325,4 +327,161 @@ TEST(StoreQuery, SummariesViewMatchesStoredAccumulators) {
       EXPECT_EQ(got->dump(), summaryToJson(fx.stats[row][m].second.summary()).dump());
     }
   }
+}
+
+namespace {
+
+/// Every row carries the four fixed metrics; the rest are disjoint per
+/// slot (slot 0 carries only the fixed four).
+struct MixedFixture {
+  std::vector<store::StoreCellRow> rows;
+  std::vector<NamedStats> stats;
+
+  MixedFixture() {
+    const std::vector<std::vector<std::string>> extras = {
+        {}, {"colors_used", "color_classes"}, {"redelivered"}, {"agg_value", "uplink_slots"}};
+    Rng rng(77);
+    stats.resize(extras.size());
+    for (std::size_t c = 0; c < extras.size(); ++c) {
+      std::vector<std::string> names = {"slots", "decode_rate", "structure_slots", "wall_sec"};
+      names.insert(names.end(), extras[c].begin(), extras[c].end());
+      for (const std::string& name : names) {
+        StreamingStats s;
+        for (int i = 0; i < 3; ++i) s.add(rng.uniform(0.0, 100.0));
+        stats[c].emplace_back(name, std::move(s));
+      }
+    }
+    for (std::size_t c = 0; c < extras.size(); ++c) {
+      store::StoreCellRow row;
+      row.cellIndex = static_cast<int>(c);
+      row.label = "cell=" + std::to_string(c);
+      row.assignments = {{"cell", std::to_string(c)}};
+      row.seeds = 3;
+      row.delivered = 3;
+      row.valid = 3;
+      row.stats = &stats[c];
+      rows.push_back(std::move(row));
+    }
+  }
+
+  bool write(const std::string& path, const std::vector<std::size_t>& order,
+             std::string& err) const {
+    store::StoreWriter w;
+    store::StoreMeta meta;
+    meta.campaign = "mixed";
+    meta.base = "unit";
+    meta.totalCells = static_cast<int>(rows.size());
+    meta.cellSlots = rows.size();
+    meta.stripWall = true;
+    if (!w.open(path, meta, err)) return false;
+    for (std::size_t slot : order) {
+      if (!w.appendCell(slot, rows[slot], err)) return false;
+    }
+    return w.finish(err);
+  }
+};
+
+}  // namespace
+
+TEST(Store, UnionSchemaOverDisjointMetricSets) {
+  // Cells of different protocols carry different metrics.  The schema is
+  // the union in slot-scan order, fixed at finish, so the file is the
+  // same whatever order the rows arrive in; a metric a row lacks reads
+  // back as the empty accumulator.
+  const MixedFixture fx;
+  std::string err;
+  const std::string a = testing::TempDir() + "store_union_a.store";
+  const std::string b = testing::TempDir() + "store_union_b.store";
+  const std::string c = testing::TempDir() + "store_union_c.store";
+  ASSERT_TRUE(fx.write(a, {0, 1, 2, 3}, err)) << err;
+  ASSERT_TRUE(fx.write(b, {3, 2, 1, 0}, err)) << err;
+  ASSERT_TRUE(fx.write(c, {2, 0, 3, 1}, err)) << err;
+  const std::string bytesA = readFile(a);
+  ASSERT_FALSE(bytesA.empty());
+  EXPECT_EQ(bytesA, readFile(b));
+  EXPECT_EQ(bytesA, readFile(c));
+
+  store::StoreReader r;
+  ASSERT_TRUE(r.open(a, err)) << err;
+  const std::vector<std::string> expected = {
+      "slots",         "decode_rate", "structure_slots", "wall_sec",    "colors_used",
+      "color_classes", "redelivered", "agg_value",       "uplink_slots"};
+  EXPECT_EQ(r.metricNames(), expected);
+  for (std::size_t row = 0; row < fx.rows.size(); ++row) {
+    for (std::size_t m = 0; m < expected.size(); ++m) {
+      StreamingStats got;
+      ASSERT_TRUE(r.statsAt(m, row, got, err)) << err;
+      const StreamingStats* want = nullptr;
+      for (const auto& [name, s] : fx.stats[row]) {
+        if (name == expected[m]) want = &s;
+      }
+      if (want == nullptr) {
+        EXPECT_EQ(got.moments.count(), 0u) << expected[m] << " row " << row;
+        EXPECT_EQ(got.quantiles.count(), 0u) << expected[m] << " row " << row;
+      } else if (expected[m] == "wall_sec") {
+        EXPECT_EQ(got.moments.count(), want->moments.count());  // stripped
+        EXPECT_EQ(got.moments.mean(), 0.0);
+      } else {
+        EXPECT_EQ(got.moments.count(), want->moments.count());
+        EXPECT_EQ(got.moments.mean(), want->moments.mean());
+        EXPECT_EQ(got.moments.m2(), want->moments.m2());
+        EXPECT_EQ(got.quantiles.count(), want->quantiles.count());
+      }
+    }
+  }
+  Json view;
+  ASSERT_TRUE(store::storeSummariesJson(r, view, err)) << err;
+  ASSERT_EQ(view.find("cells")->items().size(), fx.rows.size());
+}
+
+TEST(StoreReader, SurvivesTruncationAndHeaderBitFlips) {
+  // A probes-armed store cut at every byte offset, and with every single
+  // bit of its header, string table and names section flipped: each
+  // input either fails open() cleanly or answers the summaries view (and
+  // the per-row telemetry and probe blobs) without crashing.
+  const Fixture fx;
+  std::string err;
+  const std::string path = testing::TempDir() + "store_fuzz_src.store";
+  ASSERT_TRUE(fx.write(path, {0, 1, 2, 3}, err)) << err;
+  const std::string bytes = readFile(path);
+  ASSERT_GT(bytes.size(), sizeof(store::StoreHeader));
+  store::StoreHeader header{};
+  std::memcpy(&header, bytes.data(), sizeof header);
+  const std::size_t namesEnd = static_cast<std::size_t>(
+      header.namesOff + 4ull * (header.axisCount + header.metricCount));
+  ASSERT_LE(namesEnd, bytes.size());
+
+  const std::string mutant = testing::TempDir() + "store_fuzz_mutant.store";
+  std::size_t opened = 0;
+  const auto probe = [&](const std::string& input) {
+    {
+      std::ofstream out(mutant, std::ios::binary | std::ios::trunc);
+      out.write(input.data(), static_cast<std::streamsize>(input.size()));
+    }
+    store::StoreReader r;
+    std::string e;
+    if (!r.open(mutant, e)) {
+      EXPECT_FALSE(e.empty());
+      return;
+    }
+    ++opened;
+    Json view;
+    (void)store::storeSummariesJson(r, view, e);
+    for (std::size_t row = 0; row < r.cells(); ++row) {
+      std::vector<std::pair<std::string, double>> tm;
+      telemetry::ProbeState pb;
+      (void)r.telemetryAt(row, tm, e);
+      (void)r.probesAt(row, pb, e);
+    }
+  };
+  for (std::size_t len = 0; len < bytes.size(); ++len) probe(bytes.substr(0, len));
+  EXPECT_EQ(opened, 0u) << "a truncated store opened";
+  for (std::size_t at = 0; at < namesEnd; ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+      probe(flipped);
+    }
+  }
+  std::remove(mutant.c_str());
 }

@@ -7,8 +7,10 @@
 #include <sstream>
 
 #include "campaign/coordinator.h"
-#include "campaign/report.h"
 #include "scenario/registry.h"
+#include "store/query.h"
+#include "store/reader.h"
+#include "store/writer.h"
 #include "sweep/check.h"
 #include "sweep/expand.h"
 #include "sweep/presets.h"
@@ -18,9 +20,10 @@
 #include "util/json.h"
 
 // The sweep campaign engine: axis parsing, grid expansion, sharding,
-// resume, report round-trips, and the baseline perf gate.  The committed
-// sweeps/ files and the golden report layout are locked against the
-// source tree via MCS_SOURCE_DIR (defined in tests/CMakeLists.txt).
+// resume, cell-file round-trips, and the baseline perf gate over store
+// views.  The committed sweeps/ files and the golden baseline layout are
+// locked against the source tree via MCS_SOURCE_DIR (defined in
+// tests/CMakeLists.txt).
 namespace mcs {
 namespace {
 
@@ -437,38 +440,43 @@ TEST(SweepReport, CellJsonRoundTrip) {
   std::filesystem::remove(path);
 }
 
+/// A campaign store's summaries view, the layout sweep_check reads.
+Json storeView(const std::string& path) {
+  store::StoreReader reader;
+  Json view;
+  std::string err;
+  EXPECT_TRUE(reader.open(path, err)) << err;
+  EXPECT_TRUE(store::storeSummariesJson(reader, view, err)) << err;
+  return view;
+}
+
 /// A synthetic campaign with fixed numbers (no real runs), used by the
-/// golden-layout and sweep_check tests: its cells are written as cell
-/// files under `dir` with writeCellFile, and the returned records are
-/// what the coordinator would hold for them.
-campaign::WorkQueueCampaign syntheticCampaign(const std::string& dir, double wallScale = 1.0,
-                                              double slotScale = 1.0) {
-  campaign::WorkQueueCampaign campaign;
-  campaign.name = "golden";
-  campaign.baseName = "uniform_square";
-  campaign.description = "golden: base=uniform_square channels[2]";
-  campaign.totalCells = 2;
-  campaign.wallSec = 0.25 * wallScale;
+/// golden-baseline and sweep_check tests: its first `cells` cells are
+/// written into a campaign store under `dir`, and the store's
+/// summaries view (the layout sweep_check reads) is returned.
+Json syntheticView(const std::string& tag, double wallScale = 1.0, double slotScale = 1.0,
+                   int cells = 2) {
+  const std::string dir = testing::TempDir() + "synthetic_" + tag;
   std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir + "/sweep_cells/golden");
-  for (int c = 0; c < 2; ++c) {
+  const std::string path = dir + "/golden.store";
+  store::StoreMeta meta;
+  meta.campaign = "golden";
+  meta.base = "uniform_square";
+  meta.totalCells = 2;
+  meta.cellSlots = static_cast<std::size_t>(cells);
+  store::StoreWriter writer;
+  std::string err;
+  EXPECT_TRUE(writer.open(path, meta, err)) << err;
+  for (int c = 0; c < cells; ++c) {
     CellResult cell;
     cell.cell.index = c;
     cell.cell.label = "channels=" + std::to_string(c + 1);
     cell.cell.assignments = {{"channels", std::to_string(c + 1)}};
-    cell.cell.spec.name = cell.cell.label;
-    cell.cell.spec.channels = c + 1;
     cell.cell.spec.seeds = 2;
-    cell.cell.spec.seed0 = 1;
-    cell.batch.spec = cell.cell.spec;
     for (int s = 0; s < 2; ++s) {
       SeedResult r;
       r.seed = static_cast<std::uint64_t>(1 + s);
-      r.deployedN = 60;
       r.slots = static_cast<std::uint64_t>((1000 + 100 * c + 10 * s) * slotScale);
-      r.transmissions = 500;
-      r.listens = 400;
-      r.decodes = 300;
       r.decodeRate = 0.75;
       r.structureSlots = 200;
       r.delivered = true;
@@ -478,63 +486,45 @@ campaign::WorkQueueCampaign syntheticCampaign(const std::string& dir, double wal
       r.wallSec = (0.1 + 0.01 * s) * wallScale;
       cell.batch.perSeed.push_back(std::move(r));
     }
-    std::string err;
-    EXPECT_TRUE(writeCellFile(cell, cellFilePath(dir, campaign.name, c), err)) << err;
-    campaign::CellRecord rec;
-    rec.cell = cell.cell;
-    rec.failures = cell.batch.failures();
-    rec.delivered = cell.batch.deliveredCount();
-    rec.valid = cell.batch.validCount();
-    rec.invalid = cell.batch.invalidCount();
-    campaign.cells.push_back(std::move(rec));
+    const NamedStats stats = cellStats(cell);
+    store::StoreCellRow row;
+    row.cellIndex = c;
+    row.label = cell.cell.label;
+    row.assignments = cell.cell.assignments;
+    row.seeds = cell.cell.spec.seeds;
+    row.failures = cell.batch.failures();
+    row.delivered = cell.batch.deliveredCount();
+    row.valid = cell.batch.validCount();
+    row.invalid = cell.batch.invalidCount();
+    row.stats = &stats;
+    EXPECT_TRUE(writer.appendCell(static_cast<std::size_t>(c), row, err)) << err;
   }
-  return campaign;
+  EXPECT_TRUE(writer.finish(err)) << err;
+  return storeView(path);
 }
 
-/// The campaign report the one writer splices for `campaign`, parsed.
-Json reportJson(const campaign::WorkQueueCampaign& campaign, const std::string& dir) {
-  std::string path, err;
-  EXPECT_TRUE(campaign::writeWorkQueueCampaignReport(campaign, dir, dir, path, err)) << err;
-  Json j;
-  EXPECT_TRUE(Json::parseFile(path, j, err)) << err;
-  return j;
-}
-
-/// The synthetic campaign's report, in its own directory per `tag`.
-Json syntheticReport(const std::string& tag, double wallScale = 1.0, double slotScale = 1.0) {
-  const std::string dir = testing::TempDir() + "synthetic_" + tag;
-  return reportJson(syntheticCampaign(dir, wallScale, slotScale), dir);
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream f(path);
-  EXPECT_TRUE(f.good()) << "cannot open " << path;
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return buf.str();
-}
-
-TEST(SweepReport, GoldenJsonAndCsvLayout) {
-  const std::string dir = testing::TempDir() + "golden_campaign";
-  const campaign::WorkQueueCampaign campaign = syntheticCampaign(dir);
-  std::string jsonPath, err;
-  ASSERT_TRUE(campaign::writeWorkQueueCampaignReport(campaign, dir, dir, jsonPath, err)) << err;
-  EXPECT_EQ(readFile(jsonPath),
-            readFile(std::string(MCS_SOURCE_DIR) + "/tests/golden/campaign.json"))
-      << "campaign JSON layout changed: refresh tests/golden/campaign.json AND the "
-         "committed sweeps/baseline.json (see sweeps/smoke.sweep)";
-
-  const std::string csvPath = dir + "/golden_campaign.csv";
-  ASSERT_TRUE(campaign::writeWorkQueueCampaignCsv(campaign, dir, csvPath, err)) << err;
-  EXPECT_EQ(readFile(csvPath),
-            readFile(std::string(MCS_SOURCE_DIR) + "/tests/golden/campaign.csv"))
-      << "campaign CSV layout changed: refresh tests/golden/campaign.csv";
-  std::filesystem::remove_all(dir);
+TEST(SweepReport, StoreViewPassesTheGoldenBaseline) {
+  // tests/golden/campaign.json is the committed-baseline layout: the
+  // synthetic campaign's store view must pass it with zero drift, so
+  // every summary a baseline holds is answerable from the store.
+  Json golden;
+  std::string err;
+  ASSERT_TRUE(Json::parseFile(std::string(MCS_SOURCE_DIR) + "/tests/golden/campaign.json",
+                              golden, err))
+      << err;
+  SweepCheckOptions exact;
+  exact.metricTol = 0.0;
+  exact.wallTol = 0.0;
+  const SweepCheckResult r = compareCampaigns(golden, syntheticView("golden"), exact);
+  EXPECT_TRUE(r.ok()) << (r.violations.empty() ? "" : r.violations[0]);
+  EXPECT_EQ(r.cellsCompared, 2);
+  EXPECT_EQ(r.metricsCompared, 12);
+  EXPECT_TRUE(r.notes.empty()) << r.notes[0];
 }
 
 TEST(SweepCheck, PassesOnIdenticalCampaigns) {
-  const Json a = syntheticReport("a");
-  const Json b = syntheticReport("b");
+  const Json a = syntheticView("a");
+  const Json b = syntheticView("b");
   const SweepCheckResult r = compareCampaigns(a, b, SweepCheckOptions{});
   EXPECT_TRUE(r.ok()) << (r.violations.empty() ? "" : r.violations[0]);
   EXPECT_EQ(r.cellsCompared, 2);
@@ -542,9 +532,9 @@ TEST(SweepCheck, PassesOnIdenticalCampaigns) {
 }
 
 TEST(SweepCheck, FailsOnInjectedWallTimeRegression) {
-  const Json baseline = syntheticReport("wall_baseline");
+  const Json baseline = syntheticView("wall_baseline");
   // 20% slower everywhere, identical metrics.
-  const Json slower = syntheticReport("slower", 1.2);
+  const Json slower = syntheticView("slower", 1.2);
   SweepCheckOptions opts;
   opts.wallTol = 0.1;
   const SweepCheckResult r = compareCampaigns(baseline, slower, opts);
@@ -557,13 +547,13 @@ TEST(SweepCheck, FailsOnInjectedWallTimeRegression) {
   EXPECT_TRUE(compareCampaigns(baseline, slower, opts).ok());
   // ...and a *speedup* never fails, even at zero tolerance.
   opts.wallTol = 0.0;
-  const Json faster = syntheticReport("faster", 0.5);
+  const Json faster = syntheticView("faster", 0.5);
   EXPECT_TRUE(compareCampaigns(baseline, faster, opts).ok());
 }
 
 TEST(SweepCheck, FailsOnMetricDrift) {
-  const Json baseline = syntheticReport("drift_baseline");
-  const Json drifted = syntheticReport("drifted", 1.0, 1.1);  // slots +10%
+  const Json baseline = syntheticView("drift_baseline");
+  const Json drifted = syntheticView("drifted", 1.0, 1.1);  // slots +10%
   SweepCheckOptions opts;
   opts.metricTol = 0.05;
   const SweepCheckResult r = compareCampaigns(baseline, drifted, opts);
@@ -578,11 +568,8 @@ TEST(SweepCheck, FailsOnMetricDrift) {
 }
 
 TEST(SweepCheck, MissingCellsAndSubsets) {
-  const Json baseline = syntheticReport("missing_baseline");
-  const std::string halfDir = testing::TempDir() + "synthetic_half";
-  campaign::WorkQueueCampaign half = syntheticCampaign(halfDir);
-  half.cells.pop_back();
-  const Json candidate = reportJson(half, halfDir);
+  const Json baseline = syntheticView("missing_baseline");
+  const Json candidate = syntheticView("half", 1.0, 1.0, 1);
   SweepCheckOptions opts;
   EXPECT_FALSE(compareCampaigns(baseline, candidate, opts).ok());
   opts.allowMissing = true;
@@ -710,7 +697,10 @@ TEST(SweepFiles, SmokeBaselineMatchesAFreshRun) {
       << err;
   const std::string dir = testing::TempDir() + "sweep_smoke";
   std::filesystem::remove_all(dir);
-  const Json candidate = reportJson(runInline(spec, dir), dir);
+  campaign::WorkQueueOptions opts;
+  opts.storePath = dir + "/smoke.store";
+  (void)runInline(spec, dir, opts);
+  const Json candidate = storeView(opts.storePath);
 
   Json baseline;
   ASSERT_TRUE(

@@ -264,9 +264,8 @@ TEST(Csv, Escape) {
 }
 
 TEST(Csv, SharedEscapeAndJoin) {
-  // The free functions are the one escaping implementation shared by
-  // CsvWriter and the sweep reports (metric names and preset
-  // descriptions may contain commas/quotes).
+  // The free functions are CsvWriter's one escaping implementation
+  // (metric names and preset descriptions may contain commas/quotes).
   EXPECT_EQ(csvEscape("agg_value"), "agg_value");
   EXPECT_EQ(csvEscape("slots, total"), "\"slots, total\"");
   EXPECT_EQ(csvEscape("the \"naive\" bound"), "\"the \"\"naive\"\" bound\"");
